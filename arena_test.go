@@ -96,7 +96,6 @@ func TestStreamParityAcrossModes(t *testing.T) {
 				streamed, err := Stream(in.data, StreamOptions{
 					Options:       opts,
 					PartitionSize: 1021,
-					Bus:           NewBus(BusConfig{TimeScale: 1e6}),
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -450,13 +450,12 @@ func BenchmarkEngineParseParallel(b *testing.B) {
 func BenchmarkStreamSteadyState(b *testing.B) {
 	spec := benchSpecs[0]
 	input := spec.Generate(benchSize, 42)
-	bus := NewBus(BusConfig{TimeScale: 1e6})
 	b.SetBytes(int64(len(input)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var deviceBytes int64
 	for i := 0; i < b.N; i++ {
-		res, err := Stream(input, StreamOptions{PartitionSize: 128 << 10, Bus: bus})
+		res, err := Stream(input, StreamOptions{PartitionSize: 128 << 10})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -478,7 +477,6 @@ func BenchmarkStreamScaling(b *testing.B) {
 		schema := schemaFromInternal(spec.Schema)
 		for _, inFlight := range dedupWorkerCounts(1, 2, 4, runtime.GOMAXPROCS(0)) {
 			b.Run(fmt.Sprintf("%s/inflight=%d", spec.Name, inFlight), func(b *testing.B) {
-				bus := NewBus(BusConfig{TimeScale: 1e6})
 				b.SetBytes(int64(len(input)))
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -487,7 +485,6 @@ func BenchmarkStreamScaling(b *testing.B) {
 					res, err := Stream(input, StreamOptions{
 						Options:       Options{Schema: schema, InFlight: inFlight},
 						PartitionSize: 128 << 10,
-						Bus:           bus,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -572,18 +569,17 @@ func BenchmarkFig11Skewed(b *testing.B) {
 }
 
 // BenchmarkFig12PartitionSize streams the input end-to-end at different
-// partition sizes (Figure 12). The simulated bus is time-scaled so the
-// bench measures the pipeline mechanics, not sleeps.
+// partition sizes (Figure 12's x-axis); the pipeline has no bus, so
+// this measures the host pipeline's mechanics alone.
 func BenchmarkFig12PartitionSize(b *testing.B) {
 	spec := benchSpecs[0]
 	input := spec.Generate(benchSize, 42)
 	for _, part := range []int{32 << 10, 128 << 10, 512 << 10} {
 		b.Run(fmt.Sprintf("partition=%dKB", part>>10), func(b *testing.B) {
 			b.SetBytes(int64(len(input)))
-			bus := NewBus(BusConfig{TimeScale: 1e6})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Stream(input, StreamOptions{PartitionSize: part, Bus: bus}); err != nil {
+				if _, err := Stream(input, StreamOptions{PartitionSize: part}); err != nil {
 					b.Fatal(err)
 				}
 			}

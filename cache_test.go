@@ -123,7 +123,16 @@ func TestFingerprintDistinguishes(t *testing.T) {
 			Options{Format: csv, Scan: ScanOptions{Select: []int{0, 1}}}},
 		{"pushdown-toggle",
 			Options{Format: csv, Scan: ScanOptions{Where: []Predicate{Eq(0, "x")}}},
-			Options{Format: csv, Scan: ScanOptions{Where: []Predicate{Eq(0, "x")}, NoPushdown: true}}},
+			Options{Format: csv, Scan: ScanOptions{Where: []Predicate{Eq(0, "x")}}, reference: referencePaths{noPushdown: true}}},
+		{"split-tables-toggle",
+			Options{Format: csv},
+			Options{Format: csv, reference: referencePaths{splitTables: true}}},
+		{"skip-ahead-toggle",
+			Options{Format: csv},
+			Options{Format: csv, reference: referencePaths{noSkipAhead: true}}},
+		{"scalar-convert-toggle",
+			Options{Format: csv},
+			Options{Format: csv, reference: referencePaths{noSWARConvert: true}}},
 		{"schema-nil-vs-empty-name",
 			Options{Format: csv},
 			Options{Format: csv, Schema: NewSchema(Field{Name: ""})}},

@@ -17,9 +17,8 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
-	"strconv"
-	"strings"
 
+	parparaw "repro"
 	"repro/internal/experiments"
 )
 
@@ -46,7 +45,7 @@ func main() {
 		return
 	}
 
-	bytes, err := parseSize(*size)
+	bytes, err := parparaw.ParseSizeSpec(*size)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
@@ -63,25 +62,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-}
-
-// parseSize accepts "4096", "16KB", "64MB", "1GB".
-func parseSize(s string) (int, error) {
-	u := strings.ToUpper(strings.TrimSpace(s))
-	mult := 1
-	switch {
-	case strings.HasSuffix(u, "GB"):
-		mult, u = 1<<30, strings.TrimSuffix(u, "GB")
-	case strings.HasSuffix(u, "MB"):
-		mult, u = 1<<20, strings.TrimSuffix(u, "MB")
-	case strings.HasSuffix(u, "KB"):
-		mult, u = 1<<10, strings.TrimSuffix(u, "KB")
-	case strings.HasSuffix(u, "B"):
-		u = strings.TrimSuffix(u, "B")
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(u))
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("invalid size %q", s)
-	}
-	return n * mult, nil
 }

@@ -17,9 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
+	parparaw "repro"
 	"repro/internal/workload"
 )
 
@@ -39,7 +39,7 @@ func main() {
 }
 
 func run(dataset, size string, records int, giant string, seed int64, out string) error {
-	bytes, err := parseSize(size)
+	bytes, err := parparaw.ParseSizeSpec(size)
 	if err != nil {
 		return err
 	}
@@ -57,7 +57,7 @@ func run(dataset, size string, records int, giant string, seed int64, out string
 	if strings.HasSuffix(dataset, "-skewed") {
 		g := bytes * 2 / 5
 		if giant != "" {
-			if g, err = parseSize(giant); err != nil {
+			if g, err = parparaw.ParseSizeSpec(giant); err != nil {
 				return err
 			}
 		}
@@ -91,24 +91,4 @@ func run(dataset, size string, records int, giant string, seed int64, out string
 		fmt.Fprintf(os.Stderr, "gendata: wrote %d bytes (%s) to %s\n", len(data), dataset, out)
 	}
 	return nil
-}
-
-func parseSize(s string) (int, error) {
-	u := strings.ToUpper(strings.TrimSpace(s))
-	mult := 1
-	switch {
-	case strings.HasSuffix(u, "GB"):
-		mult, u = 1<<30, strings.TrimSuffix(u, "GB")
-	case strings.HasSuffix(u, "MB"):
-		mult, u = 1<<20, strings.TrimSuffix(u, "MB")
-	case strings.HasSuffix(u, "KB"):
-		mult, u = 1<<10, strings.TrimSuffix(u, "KB")
-	case strings.HasSuffix(u, "B"):
-		u = strings.TrimSuffix(u, "B")
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(u))
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("invalid size %q", s)
-	}
-	return n * mult, nil
 }

@@ -242,7 +242,7 @@ func run(ctx context.Context, formatName string, header bool, delim, comment str
 		if err != nil {
 			return err
 		}
-		stats = fmt.Sprintf("streamed %d partitions (%d in flight), max carry-over %d B, bus in/out %d/%d B, device mem %d B",
+		stats = fmt.Sprintf("streamed %d partitions (%d in flight), max carry-over %d B, in/out %d/%d B, device mem %d B",
 			res.Stats.Partitions, res.Stats.InFlight, res.Stats.MaxCarryOver, res.Stats.InputBytes, res.Stats.OutputBytes, res.Stats.DeviceBytes)
 		if verbose {
 			s := res.Stats

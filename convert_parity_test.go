@@ -248,7 +248,6 @@ func TestConvertWorkersParityStreaming(t *testing.T) {
 			res, err := Stream(input, StreamOptions{
 				Options:       Options{Schema: schema, Mode: mode, ConvertWorkers: workers},
 				PartitionSize: 4 << 10,
-				Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
 			})
 			if err != nil {
 				t.Fatalf("%s/workers=%d: stream failed: %v", mode, workers, err)

@@ -293,7 +293,6 @@ func TestCSVDifferentialMatrix(t *testing.T) {
 									InFlight: inFlight,
 								},
 								PartitionSize: psize,
-								Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
 							})
 							if err != nil {
 								t.Fatalf("%s Stream: %v", ctx, err)

@@ -733,7 +733,6 @@ func TestGrammarParityModesAndStreaming(t *testing.T) {
 							InFlight: inFlight,
 						},
 						PartitionSize: 96,
-						Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
 					})
 					if err != nil {
 						t.Fatalf("%v/InFlight=%d Stream: %v", mode, inFlight, err)
@@ -987,11 +986,13 @@ func fuzzGrammarParity(t *testing.T, format *Format, ref func([]byte) ([][]strin
 	chunk := int(chunkRaw%64) + 1
 	recs, invalid := ref(input)
 	opts := Options{
-		Format:         format,
-		ChunkSize:      chunk,
-		SplitTables:    fastRaw&1 != 0,
-		NoSkipAhead:    fastRaw&2 != 0,
-		NoSWARConvert:  fastRaw&4 != 0,
+		Format:    format,
+		ChunkSize: chunk,
+		reference: referencePaths{
+			splitTables:   fastRaw&1 != 0,
+			noSkipAhead:   fastRaw&2 != 0,
+			noSWARConvert: fastRaw&4 != 0,
+		},
 		ConvertWorkers: convertWorkersFromFuzz(workersRaw),
 	}
 	width := refWidth(recs)
@@ -1016,7 +1017,7 @@ func fuzzGrammarParity(t *testing.T, format *Format, ref func([]byte) ([][]strin
 		if err != nil {
 			t.Fatalf("pushdown Parse failed on %q: %v", input, err)
 		}
-		popts.Scan.NoPushdown = true
+		popts.reference.noPushdown = true
 		post, err := Parse(input, popts)
 		if err != nil {
 			t.Fatalf("post-hoc Parse failed on %q: %v", input, err)

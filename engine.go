@@ -223,9 +223,7 @@ func (e *Engine) ParseReaderContext(ctx context.Context, r io.Reader) (*Result, 
 		}
 		return e.ParseContext(ctx, append(head, rest...))
 	}
-	sres, err := e.StreamReaderContext(ctx, io.MultiReader(bytes.NewReader(head), r), StreamConfig{
-		Bus: NewBus(instantBus),
-	})
+	sres, err := e.StreamReaderContext(ctx, io.MultiReader(bytes.NewReader(head), r), StreamConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -233,13 +231,15 @@ func (e *Engine) ParseReaderContext(ctx context.Context, r io.Reader) (*Result, 
 }
 
 // StreamConfig holds the per-run knobs of an Engine streaming call: the
-// partition size (Figure 12's x-axis), the simulated interconnect, and
-// the cross-partition ring's depth, ordering, and memory budget. Zero
-// values select DefaultPartitionSize, a PCIe 3.0 x16 model, and the
-// engine's compiled Options.InFlight.
+// partition size (Figure 12's x-axis) and the cross-partition ring's
+// depth, ordering, and memory budget. Zero values select
+// DefaultPartitionSize and the engine's compiled Options.InFlight.
 type StreamConfig struct {
 	PartitionSize int
-	Bus           *Bus
+	// Bus is ignored.
+	//
+	// Deprecated: the pipeline has no interconnect; see Bus.
+	Bus *Bus
 	// InFlight overrides the engine's Options.InFlight for this run
 	// (0 keeps it): the number of partitions concurrently in flight in
 	// the cross-partition ring, 1 forcing the serial pipeline.
@@ -286,10 +286,10 @@ func (e *Engine) StreamContext(ctx context.Context, input []byte, cfg StreamConf
 
 // StreamReader parses everything r yields through the end-to-end
 // streaming pipeline of §4.4: fixed-size partitions are pulled from the
-// reader, transferred to the (simulated) device, parsed, and their
-// columnar data returned — with the three stages of consecutive
-// partitions overlapped to exploit the bus's full-duplex capability.
-// Records straddling partition boundaries are carried over intact.
+// reader and each parsed into its own table, with the read of later
+// partitions overlapping the parse of earlier ones and, when the ring
+// is deeper than one, several partitions parsing at once. Records
+// straddling partition boundaries are carried over intact.
 //
 // The full input is never materialised: peak host buffering is bounded
 // by O(PartitionSize + largest carry-over), independent of the input's
@@ -322,10 +322,6 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 	if partSize <= 0 {
 		partSize = DefaultPartitionSize
 	}
-	bus := cfg.Bus
-	if bus == nil {
-		bus = NewBus(BusConfig{})
-	}
 
 	base := e.plan.BaseExec(nil)
 	if base.DetectEncoding {
@@ -353,9 +349,6 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 	if inFlight > core.MaxInFlight {
 		inFlight = core.MaxInFlight
 	}
-	if opts.Device.ModelledTime() {
-		inFlight = 1
-	}
 
 	rp := &ringParser{
 		plan:        e.plan,
@@ -370,7 +363,6 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 	}
 	scfg := stream.Config{
 		PartitionSize:     partSize,
-		Bus:               bus.b,
 		Ctx:               ctx,
 		InFlight:          inFlight,
 		Unordered:         cfg.Unordered,
@@ -610,11 +602,6 @@ func (p *ringParser) parse(arena *device.Arena, part stream.Partition) (stream.P
 		BadRecords:    res.Stats.BadRecords,
 	}, nil
 }
-
-// instantBus configures an effectively delay-free interconnect for
-// internal streaming routes (ParseReader) that exist for memory
-// bounding, not bus modelling.
-var instantBus = BusConfig{Latency: -1, TimeScale: 1e9}
 
 // streamedResult folds a streaming run into the single-table Result
 // shape of Parse. Per-phase device times and chunk counts are

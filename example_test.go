@@ -67,7 +67,7 @@ func ExampleEngine_Parse() {
 
 // ExampleStreamReader parses straight from an io.Reader through the
 // §4.4 streaming pipeline: fixed-size partitions are pulled from the
-// reader as the device consumes them, records straddling partition
+// reader as the parser consumes them, records straddling partition
 // boundaries are carried over intact, and Combined stitches the
 // per-partition tables into one — cell for cell what Parse would have
 // produced on the whole input.
@@ -76,7 +76,6 @@ func ExampleStreamReader() {
 	res, err := parparaw.StreamReader(strings.NewReader(input), parparaw.StreamOptions{
 		Options:       parparaw.Options{HasHeader: true},
 		PartitionSize: 12, // tiny, to force several partitions even here
-		Bus:           parparaw.NewBus(parparaw.BusConfig{Latency: -1, TimeScale: 1e9}),
 	})
 	if err != nil {
 		log.Fatal(err)

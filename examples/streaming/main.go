@@ -1,8 +1,7 @@
-// Streaming: parse a larger-than-device-memory input through the
-// end-to-end streaming pipeline of §4.4 — partitions are transferred to
-// the (simulated) device, parsed, and returned with all three stages of
-// consecutive partitions overlapped; records straddling partition
-// boundaries are carried over intact. Run with:
+// Streaming: parse an input in bounded memory through the end-to-end
+// streaming pipeline of §4.4 — fixed-size partitions are read and
+// parsed with consecutive partitions overlapped; records straddling
+// partition boundaries are carried over intact. Run with:
 //
 //	go run ./examples/streaming
 package main
@@ -31,8 +30,6 @@ func main() {
 	res, err := parparaw.StreamReader(bytes.NewReader(input), parparaw.StreamOptions{
 		Options:       parparaw.Options{},
 		PartitionSize: 256 << 10, // 256 KB partitions
-		// Scale the simulated PCIe delays down so the example is instant.
-		Bus: parparaw.NewBus(parparaw.BusConfig{TimeScale: 1000}),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -42,9 +39,9 @@ func main() {
 		sizeOf(len(input)), res.Stats.Partitions)
 	fmt.Printf("records: %d   max carry-over: %d bytes\n",
 		res.NumRows(), res.Stats.MaxCarryOver)
-	fmt.Printf("bus traffic: %d bytes in, %d bytes out (full duplex)\n",
+	fmt.Printf("volume: %d bytes in, %d bytes out\n",
 		res.Stats.InputBytes, res.Stats.OutputBytes)
-	fmt.Printf("device parse busy: %v of %v end-to-end\n\n",
+	fmt.Printf("parse busy: %v of %v end-to-end\n\n",
 		res.Stats.ParseBusy, res.Stats.Duration)
 
 	// Per-partition tables concatenate into one.

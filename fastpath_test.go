@@ -39,7 +39,7 @@ func fastPathInputs() map[string][]byte {
 func parityCompare(t *testing.T, label string, opts Options, input []byte) {
 	t.Helper()
 	ref := opts
-	ref.SplitTables, ref.NoSkipAhead = true, true
+	ref.reference = referencePaths{splitTables: true, noSkipAhead: true}
 	want, err := Parse(input, ref)
 	if err != nil {
 		t.Fatalf("%s: reference parse failed: %v", label, err)
@@ -54,7 +54,7 @@ func parityCompare(t *testing.T, label string, opts Options, input []byte) {
 	}
 	for _, v := range fastPathVariants {
 		o := opts
-		o.SplitTables, o.NoSkipAhead = v.splitTables, v.noSkipAhead
+		o.reference = referencePaths{splitTables: v.splitTables, noSkipAhead: v.noSkipAhead}
 		got, err := Parse(input, o)
 		if err != nil {
 			t.Fatalf("%s/%s: parse failed: %v", label, v.name, err)
@@ -113,21 +113,19 @@ func TestFastPathParityUTF16(t *testing.T) {
 // disturb skip-ahead state.
 func TestFastPathParityStreaming(t *testing.T) {
 	input := workload.Yelp().Generate(64<<10, 7)
-	ref, err := Parse(input, Options{SplitTables: true, NoSkipAhead: true})
+	ref, err := Parse(input, Options{reference: referencePaths{splitTables: true, noSkipAhead: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := tableRows(ref.Table)
 	for _, v := range fastPathVariants {
 		opts := Options{
-			Schema:      ref.Table.Schema(),
-			SplitTables: v.splitTables,
-			NoSkipAhead: v.noSkipAhead,
+			Schema:    ref.Table.Schema(),
+			reference: referencePaths{splitTables: v.splitTables, noSkipAhead: v.noSkipAhead},
 		}
 		res, err := Stream(input, StreamOptions{
 			Options:       opts,
 			PartitionSize: 8 << 10,
-			Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
 		})
 		if err != nil {
 			t.Fatalf("%s: stream failed: %v", v.name, err)

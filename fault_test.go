@@ -26,8 +26,6 @@ import (
 // errors.Is, or a clean quarantine. Every scenario also asserts the
 // engine stays usable afterwards (arenas recycled, no goroutine leak).
 
-func chaosBus() *Bus { return NewBus(BusConfig{TimeScale: 1e9, Latency: -1}) }
-
 func chaosInput(records int) []byte {
 	var sb bytes.Buffer
 	for i := 0; i < records; i++ {
@@ -62,7 +60,7 @@ func TestFaultTransientReadsParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, Bus: chaosBus()})
+		want, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10})
 		if err != nil {
 			t.Fatalf("mode=%v: fault-free reference: %v", mode, err)
 		}
@@ -80,7 +78,6 @@ func TestFaultTransientReadsParity(t *testing.T) {
 				}
 				got, err := eng.StreamReader(fr, StreamConfig{
 					PartitionSize: 4 << 10,
-					Bus:           chaosBus(),
 					InFlight:      inFlight,
 					Retry:         chaosRetry(),
 				})
@@ -115,7 +112,6 @@ func TestFaultPermanentReadTyped(t *testing.T) {
 		}
 		res, err := eng.StreamReader(fr, StreamConfig{
 			PartitionSize: 4 << 10,
-			Bus:           chaosBus(),
 			InFlight:      inFlight,
 			Retry:         chaosRetry(),
 		})
@@ -133,7 +129,7 @@ func TestFaultPermanentReadTyped(t *testing.T) {
 			t.Errorf("inflight=%d: no partial result alongside the typed error", inFlight)
 		}
 		// The engine must stay usable after the failed run.
-		if clean, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, Bus: chaosBus(), InFlight: inFlight}); err != nil {
+		if clean, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, InFlight: inFlight}); err != nil {
 			t.Errorf("inflight=%d: engine broken after read failure: %v", inFlight, err)
 		} else if clean.NumRows() != 3000 {
 			t.Errorf("inflight=%d: post-failure run rows = %d", inFlight, clean.NumRows())
@@ -171,7 +167,6 @@ func TestFaultRingPanicTyped(t *testing.T) {
 			}
 			res, err := eng.Stream(input, StreamConfig{
 				PartitionSize: 4 << 10,
-				Bus:           chaosBus(),
 				InFlight:      inFlight,
 			})
 			if !fired() {
@@ -197,7 +192,7 @@ func TestFaultRingPanicTyped(t *testing.T) {
 				t.Error("no partial result alongside the contained panic")
 			}
 			faultinject.SetRingParse(nil)
-			if clean, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, Bus: chaosBus(), InFlight: inFlight}); err != nil {
+			if clean, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, InFlight: inFlight}); err != nil {
 				t.Errorf("engine broken after contained panic: %v", err)
 			} else if clean.NumRows() != 3000 {
 				t.Errorf("post-panic run rows = %d", clean.NumRows())
@@ -220,7 +215,7 @@ func TestFaultRingPanicQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, Bus: chaosBus()})
+	want, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +224,6 @@ func TestFaultRingPanicQuarantine(t *testing.T) {
 			fired := armOneShotRingPanic(t, 2, "injected quarantine panic")
 			res, err := eng.Stream(input, StreamConfig{
 				PartitionSize:     4 << 10,
-				Bus:               chaosBus(),
 				InFlight:          inFlight,
 				SkipBadPartitions: true,
 			})
@@ -288,7 +282,6 @@ func TestFaultConvertPanic(t *testing.T) {
 				}
 				res, err := eng.Stream(input, StreamConfig{
 					PartitionSize:     4 << 10,
-					Bus:               chaosBus(),
 					InFlight:          inFlight,
 					SkipBadPartitions: skip,
 				})
@@ -315,7 +308,7 @@ func TestFaultConvertPanic(t *testing.T) {
 					}
 				}
 				faultinject.SetConvertColumn(nil)
-				if clean, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, Bus: chaosBus(), InFlight: inFlight}); err != nil {
+				if clean, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, InFlight: inFlight}); err != nil {
 					t.Errorf("engine broken after convert panic: %v", err)
 				} else if clean.NumRows() != 3000 {
 					t.Errorf("post-panic run rows = %d", clean.NumRows())
@@ -339,7 +332,7 @@ func TestFaultBudgetPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, Bus: chaosBus()})
+	want, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +340,6 @@ func TestFaultBudgetPressure(t *testing.T) {
 	// Strict: the inflated estimate alone exceeds the budget -> typed failure.
 	_, err = eng.Stream(input, StreamConfig{
 		PartitionSize: 4 << 10,
-		Bus:           chaosBus(),
 		InFlight:      4,
 		DeviceBudget:  1 << 20,
 		StrictBudget:  true,
@@ -366,7 +358,6 @@ func TestFaultBudgetPressure(t *testing.T) {
 	// Lenient: throttled to one partition at a time, but complete and identical.
 	got, err := eng.Stream(input, StreamConfig{
 		PartitionSize: 4 << 10,
-		Bus:           chaosBus(),
 		InFlight:      4,
 		DeviceBudget:  1 << 20,
 	})
@@ -396,7 +387,6 @@ func TestFaultStalledReaderDeadline(t *testing.T) {
 	}
 	res, err := eng.StreamReaderContext(ctx, fr, StreamConfig{
 		PartitionSize: 2 << 10,
-		Bus:           chaosBus(),
 		InFlight:      2,
 	})
 	if err == nil {
@@ -438,7 +428,6 @@ func TestFaultOnBadRecordDivert(t *testing.T) {
 		got := map[int64]string{}
 		res, err := eng.Stream(input, StreamConfig{
 			PartitionSize: 4 << 10,
-			Bus:           chaosBus(),
 			InFlight:      inFlight,
 			OnBadRecord: func(r BadRecord) {
 				mu.Lock()

@@ -96,7 +96,6 @@ func FuzzStreamReader(f *testing.F) {
 		streamed, err := StreamReader(bytes.NewReader(input), StreamOptions{
 			Options:       opts,
 			PartitionSize: partSize,
-			Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
 		})
 		if err != nil {
 			t.Fatalf("StreamReader failed on %q (part=%d): %v", input, partSize, err)
@@ -110,7 +109,7 @@ func FuzzStreamReader(f *testing.F) {
 		// streamed pushdown output is checked against the reference
 		// path's materialisation.
 		opts.ConvertWorkers = 1
-		opts.Scan.NoPushdown = true
+		opts.reference.noPushdown = true
 		want, err := Parse(input, opts)
 		if err != nil {
 			t.Fatalf("re-Parse failed on %q: %v", input, err)
@@ -149,10 +148,12 @@ func FuzzParse(f *testing.F) {
 		// fast and reference paths — per-byte parsing, field conversion
 		// — and any nondeterminism in the parallel convert stage.
 		res, err := Parse(input, Options{
-			ChunkSize:      chunk,
-			SplitTables:    fastRaw&1 != 0,
-			NoSkipAhead:    fastRaw&2 != 0,
-			NoSWARConvert:  fastRaw&4 != 0,
+			ChunkSize: chunk,
+			reference: referencePaths{
+				splitTables:   fastRaw&1 != 0,
+				noSkipAhead:   fastRaw&2 != 0,
+				noSWARConvert: fastRaw&4 != 0,
+			},
 			ConvertWorkers: convertWorkersFromFuzz(workersRaw),
 		})
 		if err != nil {
@@ -176,7 +177,7 @@ func FuzzParse(f *testing.F) {
 		// Pushdown parity: the same parse with a fuzzed Where list must
 		// be byte-identical whether the rows are pruned inside the plan
 		// (Schema fixed, pushdown) or dropped from the materialised table
-		// (Scan.NoPushdown, the reference path).
+		// (reference.noPushdown, the reference path).
 		if cols := res.Table.NumColumns(); cols > 0 {
 			popts := Options{
 				ChunkSize:      chunk,
@@ -188,7 +189,7 @@ func FuzzParse(f *testing.F) {
 			if err != nil {
 				t.Fatalf("pushdown Parse failed on %q: %v", input, err)
 			}
-			popts.Scan.NoPushdown = true
+			popts.reference.noPushdown = true
 			post, err := Parse(input, popts)
 			if err != nil {
 				t.Fatalf("post-hoc Parse failed on %q: %v", input, err)

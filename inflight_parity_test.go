@@ -34,7 +34,6 @@ func streamInFlight(t *testing.T, label string, input []byte, opts Options, part
 	res, err := Stream(input, StreamOptions{
 		Options:       opts,
 		PartitionSize: partSize,
-		Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
 		Unordered:     unordered,
 	})
 	if err != nil {
@@ -226,7 +225,6 @@ func TestInFlightConcurrentEngine(t *testing.T) {
 			for i := 0; i < runs; i++ {
 				res, err := e.StreamReader(bytes.NewReader(input), StreamConfig{
 					PartitionSize: 2 << 10,
-					Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
 				})
 				if err != nil {
 					errc <- fmt.Errorf("goroutine %d run %d: %w", g, i, err)
@@ -247,9 +245,8 @@ func TestInFlightConcurrentEngine(t *testing.T) {
 }
 
 // TestInFlightValidation pins the configuration guards: negative depths
-// are rejected at compile time, oversubscribed depths clamp to
-// core.MaxInFlight, and modelled-time devices force the serial pipeline
-// (wall-clock concurrency would corrupt the virtual-time model).
+// are rejected at compile time and oversubscribed depths clamp to
+// core.MaxInFlight.
 func TestInFlightValidation(t *testing.T) {
 	if _, err := NewEngine(Options{InFlight: -1}); err == nil {
 		t.Fatal("NewEngine accepted negative InFlight")
@@ -263,17 +260,5 @@ func TestInFlightValidation(t *testing.T) {
 	clamped := streamInFlight(t, "clamped", input, Options{Schema: schema}, 1<<10, 10_000, false)
 	if clamped.Stats.InFlight != core.MaxInFlight {
 		t.Errorf("InFlight=10000 ran at depth %d, want clamp to %d", clamped.Stats.InFlight, core.MaxInFlight)
-	}
-
-	modelled, err := Stream(input, StreamOptions{
-		Options:       Options{Schema: schema, InFlight: 4, VirtualWorkers: 8},
-		PartitionSize: 1 << 10,
-		Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if modelled.Stats.InFlight != 1 {
-		t.Errorf("modelled-time run used depth %d, want forced serial", modelled.Stats.InFlight)
 	}
 }

@@ -143,9 +143,7 @@ type Options struct {
 	// each in-flight partition runs the whole kernel pipeline on its own
 	// arena while the ring's emit stage releases tables in input order.
 	// 0 means a GOMAXPROCS-derived default (capped at MaxInFlight); 1 is
-	// the serial pipeline. In modelled-time mode (device VirtualWorkers)
-	// the ring is forced to 1 so the modelled schedule stays the paper's
-	// serialised one. Output is byte-identical at every setting.
+	// the serial pipeline. Output is byte-identical at every setting.
 	InFlight int
 	// Trailing controls what happens to input after the last record
 	// delimiter. TrailingRecord (default) parses it as one final record;
@@ -205,12 +203,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.InFlight > MaxInFlight {
 		o.InFlight = MaxInFlight
-	}
-	if o.Device.ModelledTime() {
-		// A modelled device reports the list-scheduled makespan of one
-		// serialised kernel sequence; overlapping partitions would mix
-		// several sequences into the same virtual timeline.
-		o.InFlight = 1
 	}
 	return o
 }

@@ -54,7 +54,6 @@ func TestCancelMidStream(t *testing.T) {
 			pool := &testArenaPool{}
 			cfg := Config{
 				PartitionSize: 64,
-				Bus:           testBus(),
 				Ctx:           ctx,
 				InFlight:      inFlight,
 			}
@@ -96,7 +95,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	base := testleak.Count()
 	for _, inFlight := range []int{1, 4} {
 		pool := &testArenaPool{}
-		cfg := Config{PartitionSize: 64, Bus: testBus(), Ctx: ctx, InFlight: inFlight}
+		cfg := Config{PartitionSize: 64, Ctx: ctx, InFlight: inFlight}
 		if inFlight > 1 {
 			cfg.Arenas = pool
 		}
@@ -123,7 +122,6 @@ func TestDeadlineExpiry(t *testing.T) {
 	pool := &testArenaPool{}
 	res, err := Run(Config{
 		PartitionSize: 64,
-		Bus:           testBus(),
 		Ctx:           ctx,
 		InFlight:      4,
 		Arenas:        pool,

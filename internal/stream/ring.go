@@ -1,6 +1,6 @@
 // ring.go is the cross-partition pipeline: where the serial scheduler
-// of stream.go overlaps only the *stages* (transfer/parse/return) of
-// consecutive partitions, the ring overlaps the partitions themselves —
+// of stream.go overlaps only the read of the next chunks with the parse
+// of the current partition, the ring overlaps the partitions themselves —
 // up to Config.InFlight full kernel pipelines run concurrently, each on
 // its own arena, with an emit stage releasing tables in input order.
 //
@@ -41,7 +41,6 @@ import (
 	"repro/internal/columnar"
 	"repro/internal/device"
 	"repro/internal/faultinject"
-	"repro/internal/pcie"
 	"repro/parparawerr"
 )
 
@@ -152,10 +151,6 @@ func (b *deviceBudget) refund(est, arenaPeak int64) {
 // every partition parses the same input bytes, and ordered emit
 // preserves input order.
 func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
-	bus := cfg.Bus
-	if bus == nil {
-		bus = pcie.Default()
-	}
 	ctx := cfg.ctx()
 	start := time.Now()
 
@@ -212,20 +207,16 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 			if p.skipped {
 				return
 			}
-			outBytes := p.res.OutputBytes
-			if outBytes <= 0 && p.res.Table != nil {
-				outBytes = p.res.Table.DataBytes()
+			if p.res.Table == nil {
+				return
 			}
 			eb := time.Now()
-			bus.Transfer(pcie.DeviceToHost, outBytes)
-			stats.EmitBusy += time.Since(eb)
-			stats.OutputBytes += outBytes
-			if p.res.Table != nil {
-				tables = append(tables, p.res.Table)
-				if cfg.Unordered {
-					order = append(order, p.idx)
-				}
+			stats.OutputBytes += p.res.Table.DataBytes()
+			tables = append(tables, p.res.Table)
+			if cfg.Unordered {
+				order = append(order, p.idx)
 			}
+			stats.EmitBusy += time.Since(eb)
 		}
 		for p := range results {
 			if p.arena != nil {
@@ -324,9 +315,6 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 			rb := time.Now()
 			data, last, err := src.Fill(fill, need)
 			fill = data
-			if err == nil {
-				bus.Transfer(pcie.HostToDevice, int64(len(data)))
-			}
 			stats.ReadBusy += time.Since(rb)
 			if err != nil {
 				results <- parsedPart{idx: i, err: tagInputError(err, i)}

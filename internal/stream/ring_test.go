@@ -121,7 +121,7 @@ func collectLines(tables []*columnar.Table) []string {
 func TestRingMatchesSerialOrdered(t *testing.T) {
 	input, want := ringTestInput(200)
 	for _, partSize := range []int{7, 16, 64, 100, len(input), len(input) * 2} {
-		serial, err := Run(Config{PartitionSize: partSize, Bus: testBus()}, newRingLineParser(), BytesSource(input))
+		serial, err := Run(Config{PartitionSize: partSize}, newRingLineParser(), BytesSource(input))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,6 @@ func TestRingMatchesSerialOrdered(t *testing.T) {
 			pool := &testArenaPool{}
 			res, err := Run(Config{
 				PartitionSize: partSize,
-				Bus:           testBus(),
 				InFlight:      inFlight,
 				Arenas:        pool,
 			}, newRingLineParser(), BytesSource(input))
@@ -181,7 +180,6 @@ func TestRingUnorderedIsPermutation(t *testing.T) {
 	input, want := ringTestInput(300)
 	res, err := Run(Config{
 		PartitionSize: 64,
-		Bus:           testBus(),
 		InFlight:      4,
 		Unordered:     true,
 		Arenas:        &testArenaPool{},
@@ -223,7 +221,6 @@ func TestRingSerialFallback(t *testing.T) {
 	p.ambiguous = true
 	res, err := Run(Config{
 		PartitionSize: 32,
-		Bus:           testBus(),
 		InFlight:      4,
 		Arenas:        &testArenaPool{},
 	}, p, BytesSource(input))
@@ -252,7 +249,6 @@ func TestRingDeviceBudgetThrottles(t *testing.T) {
 	input, want := ringTestInput(150)
 	res, err := Run(Config{
 		PartitionSize: 64,
-		Bus:           testBus(),
 		InFlight:      4,
 		DeviceBudget:  16, // far below one partition's footprint
 		Arenas:        &testArenaPool{},
@@ -281,7 +277,6 @@ func TestRingParserError(t *testing.T) {
 		pool := &testArenaPool{}
 		_, err := Run(Config{
 			PartitionSize: 32,
-			Bus:           testBus(),
 			InFlight:      4,
 			Arenas:        pool,
 		}, p, BytesSource(input))
@@ -307,7 +302,6 @@ func TestRingBoundaryParseDisagreement(t *testing.T) {
 	p := &lyingBoundaryParser{inner: newRingLineParser()}
 	_, err := Run(Config{
 		PartitionSize: 32,
-		Bus:           testBus(),
 		InFlight:      2,
 		Arenas:        &testArenaPool{},
 	}, p, BytesSource(input))
@@ -336,7 +330,6 @@ func (p *lyingBoundaryParser) Boundary(input []byte) (int, bool) {
 func TestRingEmptyInput(t *testing.T) {
 	res, err := Run(Config{
 		PartitionSize: 16,
-		Bus:           testBus(),
 		InFlight:      4,
 		Arenas:        &testArenaPool{},
 	}, newRingLineParser(), BytesSource(nil))

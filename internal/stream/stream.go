@@ -1,14 +1,17 @@
 // Package stream implements the end-to-end streaming extension of §4.4 /
-// Figure 7: raw input is pulled from a Source in fixed-size chunks; each
-// partition is transferred to the device, parsed, and its columnar data
-// returned — with the three stages of consecutive partitions overlapped,
-// exploiting the bus's full-duplex capability. A double buffer bounds
-// both host and device memory: chunk i is read into host buffer i%2, and
-// the read of chunk i+2 must wait until the parse that consumed chunk i
-// has released its buffer (including the carry-over copy, the "copy c/o"
+// Figure 7: raw input is pulled from a Source in fixed-size chunks and
+// parsed partition by partition, with the read of the next chunks
+// overlapping the parse of the current partition. A double buffer
+// bounds host memory: chunk i is read into host buffer i%2, and the
+// read of chunk i+2 must wait until the parse that consumed chunk i has
+// released its buffer (including the carry-over copy, the "copy c/o"
 // dependency in Figure 7). Peak host buffering is therefore
 // O(PartitionSize + carry-over), independent of the input's total size —
 // the property that lets the system ingest inputs larger than memory.
+// The paper's device additionally pays a PCIe transfer per partition in
+// each direction; this pipeline runs on the host and has no
+// interconnect, so the transfers exist only in the analytical schedule
+// of Simulate (the Figure 12/13 experiments).
 //
 // The carry-over handles records straddling partition boundaries: the
 // parse of partition i reports how many of its bytes belong to complete
@@ -37,7 +40,6 @@ import (
 	"repro/internal/columnar"
 	"repro/internal/device"
 	"repro/internal/faultinject"
-	"repro/internal/pcie"
 	"repro/parparawerr"
 )
 
@@ -85,10 +87,6 @@ type PartitionResult struct {
 	// any prepended carry-over) covered by complete records; the rest is
 	// carried over to the next partition.
 	CompleteBytes int
-	// OutputBytes, when positive, overrides the device-to-host transfer
-	// size (defaults to Table.DataBytes()). Lets experiments model the
-	// return volume independently of host-side materialisation.
-	OutputBytes int64
 	// Invalid reports that this partition's parse saw invalid input
 	// without failing (the parser's non-erroring validation signal); the
 	// pipeline ORs it into Stats.InvalidInput.
@@ -124,8 +122,6 @@ type Config struct {
 	// PartitionSize is the bytes of raw input per partition (Figure 12's
 	// x-axis). Must be positive.
 	PartitionSize int
-	// Bus is the simulated interconnect; nil uses pcie.Default().
-	Bus *pcie.Bus
 	// Ctx cancels the run: the pipeline stops admitting partitions,
 	// joins its goroutines, returns every arena, and reports a typed
 	// parparawerr.ErrCanceled (alongside the partial Result). Nil means
@@ -219,8 +215,8 @@ type Stats struct {
 	Duration time.Duration
 	// Partitions is the number of partitions processed.
 	Partitions int
-	// InputBytes and OutputBytes are the raw and parsed volumes moved
-	// over the bus.
+	// InputBytes is the raw input consumed; OutputBytes sums the data
+	// bytes of the emitted tables (columnar.Table.DataBytes).
 	InputBytes  int64
 	OutputBytes int64
 	// ParseBusy is the cumulative time the device spent parsing.
@@ -259,12 +255,12 @@ type Stats struct {
 	// diverted to the caller's bad-record callback.
 	QuarantinedPartitions int
 	QuarantinedRecords    int64
-	// ReadBusy is the time the scheduler spent pulling input from the
-	// source and charging host-to-device transfers; BoundaryBusy is the
-	// time spent in record-boundary pre-scans; EmitBusy is the time the
-	// emit stage spent charging device-to-host transfers. With ParseBusy
-	// (which sums concurrent parses and so can exceed Duration under the
-	// ring) these expose each stage's busy share of the run.
+	// ReadBusy is the time the ring's scheduler spent pulling input from
+	// the source; BoundaryBusy is the time spent in record-boundary
+	// pre-scans; EmitBusy is the time the ring's emit stage spent
+	// releasing tables. With ParseBusy (which sums concurrent parses and
+	// so can exceed Duration under the ring) these expose each stage's
+	// busy share of the run. The serial pipeline reports only ParseBusy.
 	ReadBusy     time.Duration
 	BoundaryBusy time.Duration
 	EmitBusy     time.Duration
@@ -343,19 +339,18 @@ type chunk struct {
 // when non-nil, holds the tables emitted and the statistics accumulated
 // before the failure — partial progress a caller can still report.
 //
-// Stage 1 pulls PartitionSize-byte chunks from the source into two
-// recycled host buffers (the Figure 7 raw-input double buffer) and
-// charges each to the host-to-device bus direction. Stage 2 assembles
-// each partition's parse input — a fixed-size device buffer holding the
-// carry-over followed by fresh chunk bytes (the "copy c/o" step), sized
-// so the total stays at PartitionSize — and parses it; a chunk's host
-// buffer is recycled only after the parse that consumed its final byte
-// completes, preserving the figure's "transfer i+2 waits on parse i"
-// dependency. Fixed-size parse inputs keep every device buffer in the
-// same arena size class across partitions — the paper's
-// allocate-once-reuse-per-partition footprint. Only a carry-over of
-// PartitionSize or more (one record larger than a partition) grows the
-// parse buffer beyond PartitionSize.
+// A reader goroutine pulls PartitionSize-byte chunks from the source
+// into two recycled host buffers (the Figure 7 raw-input double
+// buffer). The calling goroutine assembles each partition's parse
+// input — a fixed-size buffer holding the carry-over followed by fresh
+// chunk bytes (the "copy c/o" step), sized so the total stays at
+// PartitionSize — and parses it; a chunk's host buffer is recycled only
+// after the parse that consumed its final byte completes, preserving
+// the figure's "read i+2 waits on parse i" dependency. Fixed-size parse
+// inputs keep every buffer in the same arena size class across
+// partitions — the paper's allocate-once-reuse-per-partition
+// footprint. Only a carry-over of PartitionSize or more (one record
+// larger than a partition) grows the parse buffer beyond PartitionSize.
 func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 	if cfg.PartitionSize <= 0 {
 		return nil, errors.New("stream: partition size must be positive")
@@ -366,42 +361,25 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 			return runRing(cfg, rp, src)
 		}
 	}
-	bus := cfg.Bus
-	if bus == nil {
-		bus = pcie.Default()
-	}
 	ctx := cfg.ctx()
 
 	start := time.Now()
 
-	type parsed struct {
-		idx   int
-		table *columnar.Table
-		bytes int64
-		err   error
-	}
-
 	// Double-buffer tokens: values are buffer indexes. The read two
 	// chunks ahead waits until the parse consuming chunk i releases its
-	// buffer (input side); the parse two partitions ahead waits for the
-	// return of partition i (data side).
+	// buffer.
 	inputTokens := make(chan int, 2)
-	dataTokens := make(chan struct{}, 2)
 	inputTokens <- 0
 	inputTokens <- 1
-	dataTokens <- struct{}{}
-	dataTokens <- struct{}{}
 
-	chunks := make(chan chunk, 2)    // filled chunks awaiting consumption
-	toReturn := make(chan parsed, 1) // parsed partitions awaiting DtoH
-	done := make(chan error, 1)
-	quit := make(chan struct{}) // closed on error so stage 1 exits
+	chunks := make(chan chunk, 2) // filled chunks awaiting consumption
+	quit := make(chan struct{})   // closed on return so the reader exits
+	defer close(quit)
 
-	// Stage 1: pull fixed-size chunks from the source and transfer them
-	// host→device. The two chunk buffers here are the run's entire
-	// host-side input footprint; they grow geometrically toward
-	// PartitionSize (Source.Fill), so a source smaller than a partition
-	// never pays for full-size buffers.
+	// Reader: pull fixed-size chunks from the source. The two chunk
+	// buffers here are the run's entire host-side input footprint; they
+	// grow geometrically toward PartitionSize (Source.Fill), so a source
+	// smaller than a partition never pays for full-size buffers.
 	go func() {
 		defer close(chunks)
 		var bufs [2][]byte
@@ -414,9 +392,6 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 			}
 			data, last, err := src.Fill(bufs[idx], cfg.PartitionSize)
 			bufs[idx] = data
-			if err == nil {
-				bus.Transfer(pcie.HostToDevice, int64(len(data)))
-			}
 			select {
 			case chunks <- chunk{buf: idx, data: data, last: last, err: err}:
 			case <-quit:
@@ -430,181 +405,132 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 
 	stats := Stats{InFlight: 1}
 	var tables []*columnar.Table
+	finish := func(err error) (*Result, error) {
+		stats.Duration = time.Since(start)
+		stats.DeviceBytes = cfg.Arena.PeakBytes()
+		stats.Retries, stats.RetriedBytes = src.RetryStats()
+		return &Result{Tables: tables, Stats: stats}, err
+	}
 
-	// Stage 2: parse (serial across partitions — the device is one
-	// resource — but internally parallel).
-	go func() {
-		fail := func(idx int, err error) {
-			close(quit)
-			toReturn <- parsed{idx: idx, err: err}
-			close(toReturn)
+	// Parse (serial across partitions, but internally parallel).
+	var carry []byte
+	var base int64 // stream offset of the current carry/partition start
+	var cur chunk  // current chunk being consumed
+	curOff := 0    // bytes of cur already consumed
+	haveChunk := false
+	exhausted := false // the source's last chunk has been fully consumed
+	var spent []int    // buffers drained by this partition, recycled after its parse
+	var segs [][]byte  // fresh chunk segments of the partition being assembled
+	for i := 0; ; i++ {
+		if err := ctx.Err(); err != nil {
+			return finish(fmt.Errorf("stream: %w", parparawerr.Canceled(i, err)))
 		}
-		var carry []byte
-		var base int64 // stream offset of the current carry/partition start
-		var cur chunk  // current chunk being consumed
-		curOff := 0    // bytes of cur already consumed
-		haveChunk := false
-		exhausted := false // the source's last chunk has been fully consumed
-		var spent []int    // buffers drained by this partition, recycled after its parse
-		var segs [][]byte  // fresh chunk segments of the partition being assembled
-		for i := 0; ; i++ {
-			if err := ctx.Err(); err != nil {
-				fail(i, fmt.Errorf("stream: %w", parparawerr.Canceled(i, err)))
-				return
-			}
-			// The carry-over displaces fresh input so carry + fresh fills
-			// one fixed PartitionSize buffer; a carry of a full partition
-			// or more (one record larger than a partition) still makes
-			// PartitionSize bytes of progress.
-			need := cfg.PartitionSize - len(carry)
-			if need <= 0 {
-				need = cfg.PartitionSize
-			}
+		// The carry-over displaces fresh input so carry + fresh fills
+		// one fixed PartitionSize buffer; a carry of a full partition
+		// or more (one record larger than a partition) still makes
+		// PartitionSize bytes of progress.
+		need := cfg.PartitionSize - len(carry)
+		if need <= 0 {
+			need = cfg.PartitionSize
+		}
 
-			// Gather the partition's fresh bytes as segments of the chunk
-			// buffers first (they stay stable until the post-parse token
-			// release below), so the device buffer can be allocated at
-			// its exact final size.
-			segs = segs[:0]
-			got := 0
-			for got < need && !exhausted {
-				if !haveChunk {
-					c, ok := <-chunks
-					if !ok {
-						// Stage 1 exited without a last marker: only
-						// possible after quit; this goroutine is already
-						// failing elsewhere.
-						return
-					}
-					if c.err != nil {
-						fail(i, tagInputError(c.err, i))
-						return
-					}
-					stats.InputBytes += int64(len(c.data))
-					cur, curOff, haveChunk = c, 0, true
+		// Gather the partition's fresh bytes as segments of the chunk
+		// buffers first (they stay stable until the post-parse token
+		// release below), so the parse buffer can be allocated at its
+		// exact final size.
+		segs = segs[:0]
+		got := 0
+		for got < need && !exhausted {
+			if !haveChunk {
+				c := <-chunks // the reader sends a last or failed chunk before it exits
+				if c.err != nil {
+					return finish(tagInputError(c.err, i))
 				}
-				take := need - got
-				if avail := len(cur.data) - curOff; take > avail {
-					take = avail
-				}
-				if take > 0 {
-					segs = append(segs, cur.data[curOff:curOff+take])
-				}
-				got += take
-				curOff += take
-				if curOff == len(cur.data) {
-					haveChunk = false
-					spent = append(spent, cur.buf)
-					if cur.last {
-						exhausted = true
-					}
+				stats.InputBytes += int64(len(c.data))
+				cur, curOff, haveChunk = c, 0, true
+			}
+			take := need - got
+			if avail := len(cur.data) - curOff; take > avail {
+				take = avail
+			}
+			if take > 0 {
+				segs = append(segs, cur.data[curOff:curOff+take])
+			}
+			got += take
+			curOff += take
+			if curOff == len(cur.data) {
+				haveChunk = false
+				spent = append(spent, cur.buf)
+				if cur.last {
+					exhausted = true
 				}
 			}
-			final := exhausted && !haveChunk
+		}
+		final := exhausted && !haveChunk
 
-			// Recycle the previous partition's device buffers: nothing
-			// transient outlives a partition parse (tables and the carry
-			// copy live on the host heap), so from here on this partition
-			// reuses its predecessor's allocations.
-			cfg.Arena.Reset()
-			// Assemble carry-over + fresh chunk bytes (the "copy c/o"
-			// step) in the partition's device input buffer.
-			buf := device.Alloc[byte](cfg.Arena, len(carry)+got)[:0]
-			buf = append(buf, carry...)
-			for _, seg := range segs {
-				buf = append(buf, seg...)
-			}
+		// Recycle the previous partition's buffers: nothing transient
+		// outlives a partition parse (tables and the carry copy live on
+		// the heap), so from here on this partition reuses its
+		// predecessor's allocations.
+		cfg.Arena.Reset()
+		// Assemble carry-over + fresh chunk bytes (the "copy c/o" step)
+		// in the partition's input buffer.
+		buf := device.Alloc[byte](cfg.Arena, len(carry)+got)[:0]
+		buf = append(buf, carry...)
+		for _, seg := range segs {
+			buf = append(buf, seg...)
+		}
 
-			<-dataTokens
-			parseStart := time.Now()
-			part := Partition{Index: i, Base: base, Input: buf, Final: final}
-			res, err := safeParse(func() (PartitionResult, error) {
-				return parser.ParsePartition(part)
-			}, i)
-			stats.ParseBusy += time.Since(parseStart)
-			stats.Partitions++
-			if err == nil && !final && (res.CompleteBytes < 0 || res.CompleteBytes > len(buf)) {
-				err = fmt.Errorf("complete bytes %d outside [0,%d]: %w", res.CompleteBytes, len(buf),
-					&parparawerr.InternalError{Partition: i, Stage: "ring"})
+		parseStart := time.Now()
+		part := Partition{Index: i, Base: base, Input: buf, Final: final}
+		res, err := safeParse(func() (PartitionResult, error) {
+			return parser.ParsePartition(part)
+		}, i)
+		stats.ParseBusy += time.Since(parseStart)
+		stats.Partitions++
+		if err == nil && !final && (res.CompleteBytes < 0 || res.CompleteBytes > len(buf)) {
+			err = fmt.Errorf("complete bytes %d outside [0,%d]: %w", res.CompleteBytes, len(buf),
+				&parparawerr.InternalError{Partition: i, Stage: "ring"})
+		}
+		// The drained chunks free host input capacity now that the parse
+		// consuming them is over (their bytes live on in the parse
+		// buffer and the carry copy only).
+		for _, b := range spent {
+			inputTokens <- b
+		}
+		spent = spent[:0]
+		if err != nil {
+			if !cfg.SkipBadPartitions || !quarantinable(err) {
+				return finish(fmt.Errorf("stream: partition %d: %w", i, err))
 			}
-			if err != nil {
-				if cfg.SkipBadPartitions && quarantinable(err) {
-					// Quarantine: drop the partition (and the pending
-					// carry — its boundary is unknown) and continue.
-					stats.QuarantinedPartitions++
-					base += int64(len(buf))
-					carry = carry[:0]
-					for _, b := range spent {
-						inputTokens <- b
-					}
-					spent = spent[:0]
-					dataTokens <- struct{}{}
-					if final {
-						break
-					}
-					continue
-				}
-				fail(i, fmt.Errorf("stream: partition %d: %w", i, err))
-				return
-			}
-			if res.Invalid {
-				stats.InvalidInput = true
-			}
-			stats.RowsPruned += res.RowsPruned
-			stats.BytesSkipped += res.BytesSkipped
-			stats.QuarantinedRecords += res.BadRecords
-			if final {
-				base += int64(len(buf))
-			} else {
-				base += int64(res.CompleteBytes)
-				carry = append(carry[:0], buf[res.CompleteBytes:]...)
-				if len(carry) > stats.MaxCarryOver {
-					stats.MaxCarryOver = len(carry)
-				}
-			}
-			// The drained chunks free host input capacity now that the
-			// parse consuming them is over (their bytes live on in the
-			// device buffer and the carry copy only).
-			for _, b := range spent {
-				inputTokens <- b
-			}
-			spent = spent[:0]
-			outBytes := res.OutputBytes
-			if outBytes <= 0 && res.Table != nil {
-				outBytes = res.Table.DataBytes()
-			}
-			toReturn <- parsed{idx: i, table: res.Table, bytes: outBytes}
+			// Quarantine: drop the partition (and the pending carry —
+			// its boundary is unknown) and continue.
+			stats.QuarantinedPartitions++
+			base += int64(len(buf))
+			carry = carry[:0]
 			if final {
 				break
 			}
+			continue
 		}
-		close(toReturn)
-	}()
-
-	// Stage 3: return parsed data device→host.
-	go func() {
-		for p := range toReturn {
-			if p.err != nil {
-				done <- p.err
-				return
-			}
-			bus.Transfer(pcie.DeviceToHost, p.bytes)
-			stats.OutputBytes += p.bytes
-			dataTokens <- struct{}{}
-			if p.table != nil {
-				tables = append(tables, p.table)
-			}
+		if res.Invalid {
+			stats.InvalidInput = true
 		}
-		done <- nil
-	}()
-
-	err := <-done
-	stats.Duration = time.Since(start)
-	stats.DeviceBytes = cfg.Arena.PeakBytes()
-	stats.Retries, stats.RetriedBytes = src.RetryStats()
-	res := &Result{Tables: tables, Stats: stats}
-	if err != nil {
-		return res, err
+		stats.RowsPruned += res.RowsPruned
+		stats.BytesSkipped += res.BytesSkipped
+		stats.QuarantinedRecords += res.BadRecords
+		if res.Table != nil {
+			stats.OutputBytes += res.Table.DataBytes()
+			tables = append(tables, res.Table)
+		}
+		if final {
+			break
+		}
+		base += int64(res.CompleteBytes)
+		carry = append(carry[:0], buf[res.CompleteBytes:]...)
+		if len(carry) > stats.MaxCarryOver {
+			stats.MaxCarryOver = len(carry)
+		}
 	}
-	return res, nil
+	return finish(nil)
 }

@@ -14,9 +14,10 @@
 // field strings into typed, Arrow-style columnar output.
 //
 // The paper's substrate is a CUDA GPU; this implementation executes the
-// same kernels on a simulated massively parallel device scheduled across
-// OS threads, and models the PCIe interconnect for the end-to-end
-// streaming mode. See DESIGN.md for the full substitution table.
+// same kernels on a data-parallel device abstraction scheduled across
+// OS threads. It runs on the host, so its streaming mode has no
+// interconnect to pay for. See DESIGN.md for the full substitution
+// table.
 //
 // # Quick start
 //
@@ -92,23 +93,14 @@ type Options struct {
 	// ChunkSize is the bytes of input per data-parallel chunk. 0 uses
 	// the paper's best-performing 31 bytes (§5.1).
 	ChunkSize int
-	// Workers bounds the simulated device's parallelism. 0 uses all
-	// available CPUs.
+	// Workers bounds the number of goroutines the data-parallel kernels
+	// run on. 0 uses all available CPUs.
 	Workers int
-	// VirtualWorkers, when positive, switches the device to
-	// modelled-time mode: results are identical, but Stats.Phases and
-	// Stats.DeviceTime report the time the parse would have taken on a
-	// device with that many cores (per-block costs are measured and
-	// list-scheduled onto the virtual cores). This is the reproduction
-	// substitute for the paper's 3 584-core GPU on hosts with few CPUs.
-	VirtualWorkers int
 	// ConvertWorkers is the number of concurrent column workers of the
 	// convert phase (§3.3): distinct columns' index construction, type
 	// inference, and materialisation overlap on a pool of this many
 	// goroutines. 0 uses all available CPUs; 1 forces the sequential
-	// per-column loop. Output is byte-identical at every setting. In
-	// modelled-time mode (VirtualWorkers) the convert phase always runs
-	// sequentially, matching the paper's serialised kernel launches.
+	// per-column loop. Output is byte-identical at every setting.
 	ConvertWorkers int
 	// InFlight is the number of streaming partitions processed
 	// concurrently by the cross-partition ring (§4.4 extended across
@@ -119,8 +111,7 @@ type Options struct {
 	// GOMAXPROCS-derived default; 1 forces the serial partition-at-a-time
 	// pipeline. Output is byte-identical at every setting; only Parse
 	// paths that stream (Stream, StreamReader, large ParseReader inputs)
-	// are affected. In modelled-time mode (VirtualWorkers) the ring is
-	// forced to 1, matching the paper's serialised schedule.
+	// are affected.
 	InFlight int
 	// SkipRows prunes the first n raw lines before parsing (§4.3).
 	SkipRows int
@@ -161,24 +152,30 @@ type Options struct {
 	// DetectEncoding sniffs a byte-order mark, sets Encoding
 	// accordingly, and strips the BOM before parsing.
 	DetectEncoding bool
-	// SplitTables disables the fused byte-indexed DFA tables compiled
-	// for the parse kernels, falling back to the original split lookups
-	// (byte → symbol group, then (group, state) → next state and
-	// emission). Output is identical; this exists for the
-	// fused-vs-split ablation and as the fuzzers' reference path.
-	SplitTables bool
-	// NoSkipAhead disables the interesting-byte skip-ahead fast path
-	// that scans over runs of plain data bytes eight at a time. Output
-	// is identical; this exists for the skipahead-on/off ablation and
-	// as the fuzzers' reference path.
-	NoSkipAhead bool
-	// NoSWARConvert disables the convert phase's SWAR
-	// validate-then-convert field parsers (eight-bytes-per-test
-	// classification, three-multiply digit-chunk conversion), forcing
-	// the byte-at-a-time scalar parsers instead. Output is identical —
-	// the fast paths are bit-exact substitutes — so this exists for the
-	// swar-on/off ablation and as the fuzzers' reference path.
-	NoSWARConvert bool
+
+	// reference selects reference implementations in place of fast
+	// paths; only the package's tests set it.
+	reference referencePaths
+}
+
+// referencePaths switches the pipeline from its fast paths to the
+// reference implementations they must match. Output is identical
+// either way; the parity suites and fuzzers set these to compare the
+// two. Fingerprint encodes them, so engines that differ only in a
+// reference path never share a cached plan.
+type referencePaths struct {
+	// splitTables runs the DFA kernels over the split lookups (byte →
+	// symbol group, then (group, state) → next state and emission)
+	// instead of the fused byte-indexed tables.
+	splitTables bool
+	// noSkipAhead disables the skip-ahead over runs of plain data bytes.
+	noSkipAhead bool
+	// noSWARConvert forces the convert phase's byte-at-a-time scalar
+	// field parsers instead of the SWAR validate-then-convert ones.
+	noSWARConvert bool
+	// noPushdown applies Scan.Where to the materialised table instead
+	// of pruning rows before the partition and convert stages.
+	noPushdown bool
 }
 
 // Encoding identifies the input's symbol encoding (§4.2).
@@ -236,12 +233,10 @@ type Stats struct {
 	// device only had to index, not move.
 	BytesSkipped int64
 	// Phases maps each pipeline phase (parse, scan, tag, partition,
-	// convert) to its device time — the Figure 9 breakdown. In
-	// modelled-time mode (Options.VirtualWorkers) these are the modelled
-	// durations on the virtual device.
+	// convert) to its device time — the Figure 9 breakdown.
 	Phases map[string]time.Duration
 	// DeviceTime is the total device time across all phases (the
-	// CUDA-event-sum analogue; modelled when VirtualWorkers is set).
+	// CUDA-event-sum analogue).
 	DeviceTime time.Duration
 	// Duration is the wall-clock time of the parse.
 	Duration time.Duration
@@ -276,8 +271,8 @@ var PhaseNames = core.PhaseNames
 
 // Parse parses delimiter-separated input into a columnar table using
 // the massively parallel pipeline of §3. The entire input is processed
-// on-device; for inputs that should be streamed through bounded memory
-// with overlapped transfers, use StreamReader. Every Parse call
+// in one run; for inputs that should be streamed through bounded
+// memory, use StreamReader. Every Parse call
 // compiles its options from scratch — callers parsing repeatedly with
 // one configuration (or serving concurrent callers) should construct an
 // Engine once and use Engine.Parse.
@@ -334,7 +329,7 @@ func (o Options) internal(trailing core.TrailingMode) (core.Options, error) {
 		SkipRows:           o.SkipRows,
 		SelectColumns:      selected,
 		Where:              o.Scan.internalWhere(),
-		NoPushdown:         o.Scan.NoPushdown,
+		NoPushdown:         o.reference.noPushdown,
 		SkipRecords:        o.SkipRecords,
 		ExpectedColumns:    o.ExpectedColumns,
 		RejectInconsistent: o.RejectInconsistent,
@@ -343,9 +338,9 @@ func (o Options) internal(trailing core.TrailingMode) (core.Options, error) {
 		Validate:           o.Validate,
 		Trailing:           trailing,
 		DetectEncoding:     o.DetectEncoding,
-		SplitTables:        o.SplitTables,
-		NoSkipAhead:        o.NoSkipAhead,
-		NoSWARConvert:      o.NoSWARConvert,
+		SplitTables:        o.reference.splitTables,
+		NoSkipAhead:        o.reference.noSkipAhead,
+		NoSWARConvert:      o.reference.noSWARConvert,
 		ConvertWorkers:     o.ConvertWorkers,
 		InFlight:           o.InFlight,
 	}
@@ -361,8 +356,8 @@ func (o Options) internal(trailing core.TrailingMode) (core.Options, error) {
 	default:
 		copts.Mode = css.RecordTagged
 	}
-	if o.Workers > 0 || o.VirtualWorkers > 0 {
-		copts.Device = device.New(device.Config{Workers: o.Workers, VirtualWorkers: o.VirtualWorkers})
+	if o.Workers > 0 {
+		copts.Device = device.New(device.Config{Workers: o.Workers})
 	}
 	return copts, nil
 }

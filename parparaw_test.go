@@ -171,7 +171,6 @@ func TestStreamMatchesParse(t *testing.T) {
 	}
 	streamed, err := Stream(input, StreamOptions{
 		PartitionSize: 1024,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +208,6 @@ func TestStreamWithHeaderAndInference(t *testing.T) {
 	res, err := Stream(sb.Bytes(), StreamOptions{
 		Options:       Options{HasHeader: true},
 		PartitionSize: 256,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
 	})
 	if err != nil {
 		t.Fatal(err)

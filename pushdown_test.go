@@ -3,7 +3,7 @@ package parparaw
 // Differential harness for the projection/predicate pushdown of
 // ScanOptions: for every tested configuration the pushdown path (rows
 // pruned before partitioning, Schema fixed) and the post-materialisation
-// path (Scan.NoPushdown, rows dropped from the finished table) must
+// path (reference.noPushdown, rows dropped from the finished table) must
 // produce byte-identical tables — schema, column buffers, null bitmaps,
 // rejected bitmap — and agreeing RowsPruned counters. The sweep covers
 // all three tagging modes, projection shapes, UTF-16 input, and the
@@ -71,7 +71,7 @@ func TestPushdownParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: pushdown parse: %v", label, err)
 				}
-				opts.Scan.NoPushdown = true
+				opts.reference.noPushdown = true
 				post, err := Parse(input, opts)
 				if err != nil {
 					t.Fatalf("%s: post-hoc parse: %v", label, err)
@@ -160,7 +160,7 @@ func TestPushdownParityUTF16(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: pushdown parse: %v", ws.name, err)
 		}
-		opts.Scan.NoPushdown = true
+		opts.reference.noPushdown = true
 		post, err := Parse(input, opts)
 		if err != nil {
 			t.Fatalf("%s: post-hoc parse: %v", ws.name, err)
@@ -194,7 +194,6 @@ func TestPushdownStreamingParity(t *testing.T) {
 		res, err := StreamReader(bytes.NewReader(input), StreamOptions{
 			Options:       sopts,
 			PartitionSize: 16 << 10,
-			Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
 		})
 		if err != nil {
 			t.Fatalf("inflight=%d: stream: %v", inFlight, err)

@@ -22,10 +22,9 @@ var errSelectConflict = errors.New("parparaw: both SelectColumns and Scan.Select
 // the offset scans; with a fixed Schema, failing rows are pruned before
 // the partition and convert stages ever see them (predicate pushdown),
 // so a 1%-selectivity scan moves ~1% of the data. With an inferred
-// schema — where types must be derived from every row — and under
-// NoPushdown, the same predicates are evaluated at the same point but
-// applied to the materialised table instead; output is byte-identical
-// either way.
+// schema — where types must be derived from every row — the same
+// predicates are evaluated at the same point but applied to the
+// materialised table instead; output is byte-identical either way.
 type ScanOptions struct {
 	// Select keeps only the listed column indices, in the given order.
 	// Nil keeps all columns. It is the same projection as
@@ -37,11 +36,6 @@ type ScanOptions struct {
 	// NotNull, IntRange, and FloatRange. Predicates may reference
 	// columns outside Select — filtering does not require materialising.
 	Where []Predicate
-	// NoPushdown forces the post-materialisation pruning path for Where
-	// even when a Schema is present. Output is identical; only where the
-	// rows are dropped changes. It exists as the pushdown-on/off
-	// ablation axis and as the parity/fuzz reference path.
-	NoPushdown bool
 }
 
 // Predicate is one raw-byte row filter of ScanOptions.Where. The value

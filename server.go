@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"sort"
@@ -189,7 +190,6 @@ func (s *Server) Cache() *EngineCache { return s.cache }
 //	                                  omitted = inferred
 //	select=0,3,5                      projection pushdown (ParseSelectSpec)
 //	where=1=JFK;4:int:0:100           predicate pushdown (ParseWhereSpec)
-//	nopushdown=1                      reference path: prune after materialise
 //	mode=tagged|inline|delimited      tagging mode (default tagged)
 //	validate=1                        fail the parse on format violations
 //	quarantine=1                      skip bad partitions instead of failing
@@ -257,7 +257,7 @@ type ingestRequest struct {
 // silently parsing with defaults.
 var ingestParams = map[string]bool{
 	"format": true, "header": true, "schema": true, "select": true,
-	"where": true, "nopushdown": true, "mode": true, "validate": true,
+	"where": true, "mode": true, "validate": true,
 	"quarantine": true, "partition": true, "output": true, "tenant": true,
 }
 
@@ -294,9 +294,6 @@ func (s *Server) parseIngestRequest(r *http.Request) (ingestRequest, error) {
 		return ingestRequest{}, err
 	}
 	if req.opts.Validate, err = boolParam("validate"); err != nil {
-		return ingestRequest{}, err
-	}
-	if req.opts.Scan.NoPushdown, err = boolParam("nopushdown"); err != nil {
 		return ingestRequest{}, err
 	}
 	if req.quarantine, err = boolParam("quarantine"); err != nil {
@@ -465,11 +462,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		body = s.cfg.WrapBody(body)
 	}
 	res, err := engine.StreamReaderContext(r.Context(), body, StreamConfig{
-		PartitionSize: req.partitionSize,
-		// The daemon streams for bounded memory, not interconnect
-		// modelling: an instantaneous bus keeps simulated transfer
-		// delays out of real clients' latencies.
-		Bus:               NewBus(instantBus),
+		PartitionSize:     req.partitionSize,
 		Retry:             s.cfg.Retry,
 		SkipBadPartitions: req.quarantine,
 	})
@@ -850,8 +843,9 @@ func splitRangeSpec(s string) (lo, hi string, ok bool) {
 }
 
 // ParseSizeSpec parses a byte-size spec with optional B/KB/MB/GB
-// suffix ("32MB", "65536") — the grammar of the CLI's -partition-size
-// flag and the daemon's partition query parameter.
+// suffix ("32MB", "65536") — the grammar of the commands' size flags
+// and the daemon's partition query parameter. Sizes that do not fit in
+// an int are an error.
 func ParseSizeSpec(s string) (int, error) {
 	u := strings.ToUpper(strings.TrimSpace(s))
 	mult := 1
@@ -868,6 +862,9 @@ func ParseSizeSpec(s string) (int, error) {
 	n, err := strconv.Atoi(strings.TrimSpace(u))
 	if err != nil || n <= 0 {
 		return 0, fmt.Errorf("parparaw: invalid size %q", s)
+	}
+	if n > math.MaxInt/mult {
+		return 0, fmt.Errorf("parparaw: size %q overflows int", s)
 	}
 	return n * mult, nil
 }

@@ -269,6 +269,7 @@ func TestServerBadRequests(t *testing.T) {
 		{"bad-schema", "/ingest?schema=nocolon"},
 		{"bad-schema-type", "/ingest?schema=a:varchar"},
 		{"bad-partition", "/ingest?partition=-3MB"},
+		{"overflow-partition", "/ingest?partition=8589934592GB"},
 		{"bad-output", "/ingest?output=parquet"},
 	}
 	for _, tc := range cases {

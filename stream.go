@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/columnar"
-	"repro/internal/pcie"
 )
 
 // DefaultPartitionSize is the streaming partition size used when
@@ -16,36 +15,27 @@ import (
 // is a balanced default for laptop-scale runs.
 const DefaultPartitionSize = 32 << 20
 
-// Bus is a simulated full-duplex interconnect (§4.4). Host-to-device and
-// device-to-host transfers overlap at full bandwidth; same-direction
-// transfers serialise. The default models a PCIe 3.0 x16 link.
-type Bus struct {
-	b *pcie.Bus
-}
+// Bus is an interconnect model that streaming runs ignore.
+//
+// Deprecated: the pipeline runs on the host, so there is no
+// interconnect to model and a Bus has no effect. The paper's PCIe
+// model survives only in the Figure 12/13 experiments. Bus remains so
+// existing callers keep compiling.
+type Bus struct{}
 
-// BusConfig describes a simulated interconnect.
+// BusConfig describes an interconnect model. Its fields are ignored.
+//
+// Deprecated: see Bus.
 type BusConfig struct {
-	// BandwidthHtoD and BandwidthDtoH are bytes per second per
-	// direction. Zero selects ~12 GB/s (PCIe 3.0 x16 effective).
 	BandwidthHtoD, BandwidthDtoH float64
-	// Latency is the per-transfer setup cost. Zero selects 20 µs;
-	// negative disables.
-	Latency time.Duration
-	// TimeScale divides all simulated delays so experiments can replay
-	// the paper's multi-gigabyte schedules in reasonable wall-clock
-	// time. Zero means 1 (real modelled time).
-	TimeScale float64
+	Latency                      time.Duration
+	TimeScale                    float64
 }
 
-// NewBus returns a simulated bus.
-func NewBus(cfg BusConfig) *Bus {
-	return &Bus{b: pcie.New(pcie.Config{
-		BandwidthHtoD: cfg.BandwidthHtoD,
-		BandwidthDtoH: cfg.BandwidthDtoH,
-		Latency:       cfg.Latency,
-		TimeScale:     cfg.TimeScale,
-	})}
-}
+// NewBus returns a Bus, which streaming runs ignore.
+//
+// Deprecated: see Bus.
+func NewBus(BusConfig) *Bus { return &Bus{} }
 
 // RetryPolicy makes a streaming run resilient to transient reader
 // failures: a failed read is retried in place — the stream's byte
@@ -91,8 +81,6 @@ type StreamOptions struct {
 	// PartitionSize is the bytes of raw input per partition (Figure
 	// 12's x-axis). 0 uses DefaultPartitionSize.
 	PartitionSize int
-	// Bus is the simulated interconnect; nil uses a PCIe 3.0 x16 model.
-	Bus *Bus
 	// Unordered emits each partition's table as soon as its parse
 	// completes instead of buffering for input order (only meaningful
 	// with Options.InFlight > 1); StreamResult.Order then records the
@@ -133,14 +121,14 @@ type StreamOptions struct {
 
 // StreamStats describes a streaming run.
 type StreamStats struct {
-	// Duration is the end-to-end wall-clock time, including simulated
-	// transfers.
+	// Duration is the end-to-end wall-clock time.
 	Duration time.Duration
 	// Partitions is the number of partitions processed.
 	Partitions int
-	// InputBytes and OutputBytes are the volumes moved over the bus.
+	// InputBytes is the raw input consumed; OutputBytes sums the data
+	// bytes of the emitted tables.
 	InputBytes, OutputBytes int64
-	// ParseBusy is the cumulative device parse time.
+	// ParseBusy is the cumulative partition parse time.
 	ParseBusy time.Duration
 	// MaxCarryOver is the largest record fragment carried between
 	// partitions (bytes).
@@ -175,13 +163,13 @@ type StreamStats struct {
 	// unsettled, UTF-16 input) and that therefore parsed on the serial
 	// carry path inside the ring.
 	SerialFallbacks int
-	// ReadBusy, BoundaryBusy, and EmitBusy are the time the ring's
-	// sequential spine spent pulling input (including host-to-device
-	// transfer charges), pre-scanning record boundaries, and charging
-	// device-to-host transfers, respectively. Together with ParseBusy —
-	// which sums concurrent partition parses and so may exceed Duration
-	// when InFlight > 1 — they expose each stage's busy share of the
-	// run (the -v output of cmd/parparaw).
+	// ReadBusy, BoundaryBusy, and EmitBusy are the time the ring spent
+	// pulling input from the reader, pre-scanning record boundaries, and
+	// releasing tables in order, respectively; the serial pipeline
+	// (InFlight 1) leaves them zero. Together with ParseBusy — which
+	// sums concurrent partition parses and so may exceed Duration when
+	// InFlight > 1 — they expose each stage's busy share of the run
+	// (the -v output of cmd/parparaw).
 	ReadBusy     time.Duration
 	BoundaryBusy time.Duration
 	EmitBusy     time.Duration
@@ -237,13 +225,12 @@ func (r *StreamResult) NumRows() int {
 }
 
 // Stream parses an in-memory input end-to-end through the streaming
-// pipeline of §4.4: the input is consumed in partitions; each is
-// transferred to the (simulated) device, parsed, and its columnar data
-// returned — with the three stages of consecutive partitions overlapped
-// to exploit the bus's full-duplex capability. Records straddling
-// partition boundaries are carried over intact. It is a thin wrapper
-// over StreamReader; inputs that should never be materialised in one
-// buffer go straight to StreamReader.
+// pipeline of §4.4: the input is consumed in partitions, each parsed
+// into its own table, with consecutive partitions overlapped (see
+// Options.InFlight). Records straddling partition boundaries are
+// carried over intact. It is a thin wrapper over StreamReader; inputs
+// that should never be materialised in one buffer go straight to
+// StreamReader.
 func Stream(input []byte, opts StreamOptions) (*StreamResult, error) {
 	return StreamReader(bytes.NewReader(input), opts)
 }
@@ -256,7 +243,7 @@ func StreamContext(ctx context.Context, input []byte, opts StreamOptions) (*Stre
 
 // StreamReader parses everything r yields through the end-to-end
 // streaming pipeline of §4.4, pulling fixed-size partitions from the
-// reader as the device consumes them. The full input is never
+// reader as the parser consumes them. The full input is never
 // materialised: peak host buffering is bounded by O(PartitionSize +
 // largest carry-over), so files and network sources larger than memory
 // stream through fine. Byte-order-mark detection, the header record,
@@ -281,7 +268,6 @@ func StreamReaderContext(ctx context.Context, r io.Reader, opts StreamOptions) (
 	}
 	return e.StreamReaderContext(ctx, r, StreamConfig{
 		PartitionSize:     opts.PartitionSize,
-		Bus:               opts.Bus,
 		Unordered:         opts.Unordered,
 		DeviceBudget:      opts.DeviceBudget,
 		StrictBudget:      opts.StrictBudget,
@@ -304,14 +290,14 @@ var ReaderStreamThreshold = 2 * DefaultPartitionSize
 // ParseReader parses everything r yields. Inputs up to
 // ReaderStreamThreshold bytes are buffered and parsed in one shot
 // (identical to Parse); larger inputs are routed through the streaming
-// pipeline with DefaultPartitionSize partitions and an instantaneous
-// bus, then folded into one table, so ParseReader never materialises
-// more than O(threshold + output) host memory for the raw input. On the
-// streamed route, type inference sees only the first partition (pass an
-// explicit Schema for full determinism), Stats reports volumes and
-// duration but no per-phase device times or chunk counts, and
-// Stats.InputBytes counts raw streamed bytes rather than post-header
-// parsed bytes. Stats.InvalidInput is reported on both routes.
+// pipeline with DefaultPartitionSize partitions, then folded into one
+// table, so ParseReader never materialises more than O(threshold +
+// output) host memory for the raw input. On the streamed route, type
+// inference sees only the first partition (pass an explicit Schema for
+// full determinism), Stats reports volumes and duration but no
+// per-phase device times or chunk counts, and Stats.InputBytes counts
+// raw streamed bytes rather than post-header parsed bytes.
+// Stats.InvalidInput is reported on both routes.
 func ParseReader(r io.Reader, opts Options) (*Result, error) {
 	e, err := NewEngine(opts)
 	if err != nil {

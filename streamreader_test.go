@@ -106,7 +106,6 @@ func TestStreamReaderParityAcrossModes(t *testing.T) {
 					res, err := StreamReader(src, StreamOptions{
 						Options:       opts,
 						PartitionSize: ps,
-						Bus:           NewBus(BusConfig{TimeScale: 1e6}),
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -150,7 +149,6 @@ func TestStreamReaderTinyFirstPartition(t *testing.T) {
 		res, err := StreamReader(bytes.NewReader(input), StreamOptions{
 			Options:       opts,
 			PartitionSize: ps,
-			Bus:           NewBus(BusConfig{TimeScale: 1e6}),
 		})
 		if err != nil {
 			t.Fatalf("part=%d: %v", ps, err)
@@ -181,7 +179,6 @@ func TestStreamReaderShortReads(t *testing.T) {
 	}
 	res, err := StreamReader(&shortReadReader{r: bytes.NewReader(input), k: 13}, StreamOptions{
 		PartitionSize: 256,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +213,6 @@ func TestStreamReaderCommentHeavyInput(t *testing.T) {
 	res, err := StreamReader(bytes.NewReader(input), StreamOptions{
 		Options:       Options{Format: f},
 		PartitionSize: 128,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +239,6 @@ func TestStreamReaderRowlessPrefixBoundedCarry(t *testing.T) {
 	res, err := StreamReader(bytes.NewReader(input), StreamOptions{
 		Options:       Options{SkipRecords: skip},
 		PartitionSize: partSize,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +265,6 @@ func TestStreamReaderReportsInvalidInput(t *testing.T) {
 
 	res, err := StreamReader(bytes.NewReader(input), StreamOptions{
 		PartitionSize: 256,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +289,6 @@ func TestStreamReaderReportsInvalidInput(t *testing.T) {
 func TestStreamReaderEmptyAndHeaderOnly(t *testing.T) {
 	res, err := StreamReader(strings.NewReader(""), StreamOptions{
 		PartitionSize: 64,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +300,6 @@ func TestStreamReaderEmptyAndHeaderOnly(t *testing.T) {
 	res, err = StreamReader(strings.NewReader("a,b\n"), StreamOptions{
 		Options:       Options{HasHeader: true},
 		PartitionSize: 2,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
 	})
 	if err != nil {
 		t.Fatal(err)
