@@ -104,6 +104,7 @@ func Fingerprint(opts Options) string {
 	boolByte(opts.reference.noSkipAhead)
 	boolByte(opts.reference.noSWARConvert)
 	boolByte(opts.reference.noPushdown)
+	boolByte(opts.reference.multiDFA)
 	return string(b)
 }
 

@@ -133,6 +133,9 @@ func TestFingerprintDistinguishes(t *testing.T) {
 		{"scalar-convert-toggle",
 			Options{Format: csv},
 			Options{Format: csv, reference: referencePaths{noSWARConvert: true}}},
+		{"multi-dfa-toggle",
+			Options{Format: csv},
+			Options{Format: csv, reference: referencePaths{multiDFA: true}}},
 		{"schema-nil-vs-empty-name",
 			Options{Format: csv},
 			Options{Format: csv, Schema: NewSchema(Field{Name: ""})}},

@@ -7,7 +7,7 @@
 //
 //	parparaw [-format csv|tsv|psv|jsonl|weblog] [-header]
 //	         [-delim ,] [-comment '#'] [-mode tagged|inline|delimited]
-//	         [-stream] [-partition-size 32MB] [-inflight N] [-v]
+//	         [-stream] [-partition-size 1MB] [-inflight N] [-v]
 //	         [-select 0,3,5] [-where '1=JFK;4:int:0:100'] [-head 10]
 //	         [-validate] [-retry N] [-timeout 30s] file.csv
 //
@@ -71,7 +71,7 @@ func main() {
 	crlf := flag.Bool("crlf", false, "accept CRLF record delimiters")
 	mode := flag.String("mode", "tagged", "tagging mode: tagged, inline, or delimited")
 	streamFlag := flag.Bool("stream", false, "use the end-to-end streaming pipeline")
-	partition := flag.String("partition-size", "32MB", "streaming partition size")
+	partition := flag.String("partition-size", sizeSpec(parparaw.DefaultPartitionSize), "streaming partition size")
 	flag.StringVar(partition, "partition", *partition, "alias for -partition-size")
 	inFlight := flag.Int("inflight", 0, "streaming partitions in flight (0 = GOMAXPROCS-derived, 1 = serial)")
 	verbose := flag.Bool("v", false, "print per-stage busy times and pushdown pruning counters")
@@ -273,8 +273,14 @@ func run(ctx context.Context, formatName string, header bool, delim, comment str
 			return err
 		}
 		table = res.Table
-		stats = fmt.Sprintf("parsed %d chunks at %.1f MB/s (device time %v, device mem %d B)",
-			res.Stats.Chunks, res.Stats.Throughput()/1e6, res.Stats.DeviceTime, res.Stats.DeviceBytes)
+		// Inputs above ReaderStreamThreshold take the streamed route,
+		// which measures no per-phase device time (Phases is nil).
+		deviceTime := ""
+		if res.Stats.Phases != nil {
+			deviceTime = fmt.Sprintf("device time %v, ", res.Stats.DeviceTime)
+		}
+		stats = fmt.Sprintf("parsed %d chunks at %.1f MB/s (%sdevice mem %d B)",
+			res.Stats.Chunks, res.Stats.Throughput()/1e6, deviceTime, res.Stats.DeviceBytes)
 		if verbose && (res.Stats.RowsPruned > 0 || res.Stats.BytesSkipped > 0) {
 			stats += fmt.Sprintf("\npushdown: %d rows pruned, %d symbol bytes never moved",
 				res.Stats.RowsPruned, res.Stats.BytesSkipped)
@@ -314,6 +320,18 @@ func run(ctx context.Context, formatName string, header bool, delim, comment str
 		}
 	}
 	return nil
+}
+
+// sizeSpec renders a byte count in the ParseSizeSpec grammar, in the
+// largest unit that divides it.
+func sizeSpec(n int) string {
+	switch {
+	case n%(1<<20) == 0:
+		return fmt.Sprintf("%dMB", n>>20)
+	case n%(1<<10) == 0:
+		return fmt.Sprintf("%dKB", n>>10)
+	}
+	return fmt.Sprint(n)
 }
 
 func displayName(path string) string {

@@ -223,11 +223,11 @@ func (e *Engine) ParseReaderContext(ctx context.Context, r io.Reader) (*Result, 
 		}
 		return e.ParseContext(ctx, append(head, rest...))
 	}
-	sres, err := e.StreamReaderContext(ctx, io.MultiReader(bytes.NewReader(head), r), StreamConfig{})
+	sres, chunks, err := e.streamReader(ctx, io.MultiReader(bytes.NewReader(head), r), StreamConfig{})
 	if err != nil {
 		return nil, err
 	}
-	return streamedResult(sres)
+	return streamedResult(sres, chunks)
 }
 
 // StreamConfig holds the per-run knobs of an Engine streaming call: the
@@ -315,8 +315,15 @@ func (e *Engine) StreamReader(r io.Reader, cfg StreamConfig) (*StreamResult, err
 // inside the source's io.Reader: Go cannot cancel a Read in flight, so
 // a stalled reader delays (but never prevents) the shutdown.
 func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg StreamConfig) (*StreamResult, error) {
+	sres, _, err := e.streamReader(ctx, r, cfg)
+	return sres, err
+}
+
+// streamReader is StreamReaderContext that also returns the chunk count
+// summed over the partition parses, which StreamStats does not carry.
+func (e *Engine) streamReader(ctx context.Context, r io.Reader, cfg StreamConfig) (*StreamResult, int, error) {
 	if !e.plan.BoundarySound() {
-		return nil, ErrUnstreamable
+		return nil, 0, ErrUnstreamable
 	}
 	partSize := cfg.PartitionSize
 	if partSize <= 0 {
@@ -332,7 +339,7 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 		var head [3]byte
 		n, err := io.ReadFull(r, head[:])
 		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("parparaw: reading input: %w",
+			return nil, 0, fmt.Errorf("parparaw: reading input: %w",
 				&parparawerr.InputError{Offset: int64(n), Partition: parparawerr.NoPartition, Attempts: 1, Err: err})
 		}
 		enc, skip := transcode.DetectEncoding(head[:n])
@@ -382,6 +389,7 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 		// the ring so InFlight × per-partition workers stays at the
 		// host's parallelism instead of oversubscribing it.
 		scfg.Arenas = enginePool{e}
+		rp.inFlight = inFlight
 		if cw := opts.ConvertWorkers / inFlight; cw < opts.ConvertWorkers {
 			if cw < 1 {
 				cw = 1
@@ -409,9 +417,9 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 		if errors.As(err, &ie) && ie.Stage == "boundary" {
 			e.boundaryMistrust.Add(1)
 		}
-		return streamResultFrom(rp, res), err
+		return streamResultFrom(rp, res), 0, err
 	}
-	return streamResultFrom(rp, res), nil
+	return streamResultFrom(rp, res), res.Stats.Chunks, nil
 }
 
 // streamResultFrom converts the internal pipeline result (possibly the
@@ -470,6 +478,9 @@ type ringParser struct {
 	// stage (Exec.ConvertWorkers) so the ring's aggregate worker count
 	// matches the plan's budget.
 	convertWorkers int
+	// inFlight is the ring depth sharing the device (Exec.InFlight), from
+	// which each partition's context pass is chosen.
+	inFlight int
 	// serial is the serial pipeline's single recycled arena (nil under
 	// the ring).
 	serial *device.Arena
@@ -495,6 +506,8 @@ type ringParser struct {
 	header []string
 }
 
+var _ stream.RingParser = (*ringParser)(nil)
+
 // ParsePartition is the serial pipeline's entry point.
 func (p *ringParser) ParsePartition(part stream.Partition) (stream.PartitionResult, error) {
 	return p.parse(p.serial, part)
@@ -516,14 +529,18 @@ func (p *ringParser) ParseInFlight(arena *device.Arena, part stream.Partition) (
 // the transcoded bytes and mapped back (Plan.Execute), not on a raw
 // walk — and permanently once the engine's boundary-disagreement
 // counter has hit its limit (the learned serial-carry degradation).
-func (p *ringParser) Boundary(part []byte) (int, bool) {
-	if p.first || !p.direct {
-		return 0, false
+// Without trimming, an unsettled first partition still reports idle:
+// its parse would change nothing either, but it is never dispatched,
+// because the parse that settles it writes the header and schema.
+func (p *ringParser) Boundary(part []byte) (rem int, idle, ok bool) {
+	if !p.direct || (p.first && p.trimming) {
+		return 0, false, false
 	}
 	if p.mistrust != nil && p.mistrust.Load() >= boundaryMistrustLimit {
-		return 0, false
+		return 0, false, false
 	}
-	return p.plan.ScanRemainder(part), true
+	rem, idle = p.plan.ScanBoundary(part)
+	return rem, idle, !p.first
 }
 
 func (p *ringParser) parse(arena *device.Arena, part stream.Partition) (stream.PartitionResult, error) {
@@ -540,6 +557,7 @@ func (p *ringParser) parse(arena *device.Arena, part stream.Partition) (stream.P
 		exec.SkipRows = p.base.SkipRows
 	}
 	exec.ConvertWorkers = p.convertWorkers
+	exec.InFlight = p.inFlight
 	exec.Ctx = p.ctx
 	exec.Partition = part.Index
 	exec.BaseOffset = part.Base
@@ -572,6 +590,7 @@ func (p *ringParser) parse(arena *device.Arena, part stream.Partition) (stream.P
 					CompleteBytes: 0,
 					Invalid:       res.Stats.InvalidInput,
 					BytesSkipped:  res.Stats.BytesSkipped,
+					Chunks:        res.Stats.Chunks,
 				}, nil
 			}
 			// Without header/skip trimming there is nothing to
@@ -584,6 +603,7 @@ func (p *ringParser) parse(arena *device.Arena, part stream.Partition) (stream.P
 				CompleteBytes: len(part.Input) - res.Remainder,
 				Invalid:       res.Stats.InvalidInput,
 				BytesSkipped:  res.Stats.BytesSkipped,
+				Chunks:        res.Stats.Chunks,
 			}, nil
 		}
 		p.header = res.Header
@@ -600,13 +620,15 @@ func (p *ringParser) parse(arena *device.Arena, part stream.Partition) (stream.P
 		RowsPruned:    res.Stats.RowsPruned,
 		BytesSkipped:  res.Stats.BytesSkipped,
 		BadRecords:    res.Stats.BadRecords,
+		Chunks:        res.Stats.Chunks,
 	}, nil
 }
 
-// streamedResult folds a streaming run into the single-table Result
-// shape of Parse. Per-phase device times and chunk counts are
-// per-partition quantities and are not aggregated here.
-func streamedResult(sres *StreamResult) (*Result, error) {
+// streamedResult folds a streaming run and its summed chunk count into
+// the single-table Result shape of Parse. Phases and DeviceTime stay
+// unset: concurrent partitions share the device's timers, so their
+// per-partition phase deltas overlap and cannot be summed.
+func streamedResult(sres *StreamResult, chunks int) (*Result, error) {
 	combined, err := sres.Combined()
 	if err != nil {
 		return nil, err
@@ -616,6 +638,7 @@ func streamedResult(sres *StreamResult) (*Result, error) {
 		Header: sres.Header,
 		Stats: Stats{
 			InputBytes:   sres.Stats.InputBytes,
+			Chunks:       chunks,
 			Records:      int64(combined.NumRows()),
 			Columns:      combined.NumColumns(),
 			InvalidInput: sres.Stats.InvalidInput,

@@ -139,23 +139,34 @@ func FuzzParse(f *testing.F) {
 	// Numeric/temporal shapes with the SWAR convert paths toggled off
 	// (bit 4), so the round trip crosses the scalar and SWAR parsers.
 	f.Add([]byte("1.5,2018-06-15 13:45:09.5,142.35\n-7,.5,-73.987654\n"), uint8(31), uint8(4), uint8(0))
+	// Quoted runs across chunk boundaries with the multi-DFA context
+	// pass (bit 3), so both context paths meet the oracle.
+	f.Add([]byte("\"a long quoted, run\nspanning chunks\",x\ny,\"\"\"q\"\n"), uint8(5), uint8(8), uint8(1))
 
 	f.Fuzz(func(t *testing.T, input []byte, chunkRaw, fastRaw, workersRaw uint8) {
 		chunk := int(chunkRaw%64) + 1
 		// fastRaw toggles the fused-table, skip-ahead, and SWAR-convert
-		// fast paths and workersRaw sweeps the convert pool, so the
-		// sequential oracle below catches any divergence between the
-		// fast and reference paths — per-byte parsing, field conversion
-		// — and any nondeterminism in the parallel convert stage.
-		res, err := Parse(input, Options{
+		// fast paths and the multi-DFA context pass, and workersRaw
+		// sweeps the convert pool, so the sequential oracle below
+		// catches any divergence between the fast and reference paths —
+		// chunk contexts, per-byte parsing, field conversion — and any
+		// nondeterminism in the parallel convert stage. Without bit 3 a
+		// one-worker device takes the sequential context pass on any
+		// host.
+		opts := Options{
 			ChunkSize: chunk,
 			reference: referencePaths{
 				splitTables:   fastRaw&1 != 0,
 				noSkipAhead:   fastRaw&2 != 0,
 				noSWARConvert: fastRaw&4 != 0,
+				multiDFA:      fastRaw&8 != 0,
 			},
 			ConvertWorkers: convertWorkersFromFuzz(workersRaw),
-		})
+		}
+		if !opts.reference.multiDFA {
+			opts.Workers = 1
+		}
+		res, err := Parse(input, opts)
 		if err != nil {
 			t.Fatalf("Parse failed on %q: %v", input, err)
 		}

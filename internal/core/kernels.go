@@ -36,32 +36,63 @@ type kernelStage struct {
 	run  func(p *pipeline) error
 }
 
-// kernelPipeline is the stage sequence of §3: the two parse kernels with
-// their scans interleaved, then tagging, partitioning and conversion. A
-// stage may finish the run early by setting p.table (empty outputs).
-var kernelPipeline = []kernelStage{
-	{"parseVectors", (*pipeline).parseVectors},
-	{"scanStates", (*pipeline).scanStates},
-	{"emitBitmaps", (*pipeline).emitBitmapsStage},
-	{"offsetScans", (*pipeline).offsetScans},
-	{"filterRows", (*pipeline).filterRows},
-	{"tagSymbols", (*pipeline).tagSymbolsStage},
-	{"partitionScatter", (*pipeline).partitionScatter},
-	{"convertColumns", (*pipeline).convertColumns},
-}
+// The pipelines are the stage sequence of §3: a context pass resolving
+// every chunk's start state, the bitmap-emitting parse kernel with the
+// offset scans, then tagging, partitioning and conversion. The two
+// differ only in the context pass (see the package doc). A stage may
+// finish the run early by setting p.table (empty outputs).
+var (
+	sequentialPipeline = append([]kernelStage{
+		{"chunkStates", (*pipeline).chunkStates},
+	}, kernelTail...)
+	multiDFAPipeline = append([]kernelStage{
+		{"parseVectors", (*pipeline).parseVectors},
+		{"scanStates", (*pipeline).scanStates},
+	}, kernelTail...)
+	kernelTail = []kernelStage{
+		{"emitBitmaps", (*pipeline).emitBitmapsStage},
+		{"offsetScans", (*pipeline).offsetScans},
+		{"filterRows", (*pipeline).filterRows},
+		{"tagSymbols", (*pipeline).tagSymbolsStage},
+		{"partitionScatter", (*pipeline).partitionScatter},
+		{"convertColumns", (*pipeline).convertColumns},
+	}
+)
+
+// multiDFAMinWorkers is the worker count from which the multi-DFA
+// context pass pays off. With w workers the multi-DFA pass runs at best
+// w times its single-core rate, so it is the smallest single-core rate
+// ratio of the sequential pass over parseVectors+scanStates across the
+// dialects (BenchmarkContextPass, 4 MiB inputs, 2-CPU x86-64 host,
+// BENCH_13.json): csv-yelp 6.2, jsonl 3.2, weblog 3.2, csv-taxi 2.9,
+// psv-yelp 2.1, tsv-taxi 1.03. Numeric TSV sets it: its multi-DFA
+// lanes converge after each delimiter, so speculation costs almost
+// nothing there. Hence only an execution left with a single worker —
+// such as each partition of a ring as deep as the host has cores —
+// takes the sequential pass, which is then never slower.
+const multiDFAMinWorkers = 1.03
 
 // KernelStageNames lists the explicit kernel stages in execution order —
-// the keys of the arena's per-stage footprint accounting.
-func KernelStageNames() []string {
-	names := make([]string, len(kernelPipeline))
-	for i, st := range kernelPipeline {
+// the keys of the arena's per-stage footprint accounting — for the
+// multi-DFA or the sequential context path.
+func KernelStageNames(multiDFA bool) []string {
+	stages := pipelineStages(multiDFA)
+	names := make([]string, len(stages))
+	for i, st := range stages {
 		names[i] = st.name
 	}
 	return names
 }
 
+func pipelineStages(multiDFA bool) []kernelStage {
+	if multiDFA {
+		return multiDFAPipeline
+	}
+	return sequentialPipeline
+}
+
 func (p *pipeline) run() (*columnar.Table, error) {
-	for _, st := range kernelPipeline {
+	for _, st := range pipelineStages(p.multiDFA) {
 		// Cancellation is observed between kernel stages: a canceled
 		// context stops a partition mid-parse at the next stage boundary
 		// (a launched kernel always runs to completion, like a CUDA
@@ -83,15 +114,34 @@ func (p *pipeline) run() (*columnar.Table, error) {
 	return p.table, nil
 }
 
+// initChunks cuts the input into ChunkSize-byte chunks.
+func (p *pipeline) initChunks() {
+	n := len(p.input)
+	p.stats.InputBytes = int64(n)
+	p.chunks = (n + p.ChunkSize - 1) / p.ChunkSize
+	p.stats.Chunks = p.chunks
+}
+
+// chunkStates is the sequential context pass: one skip-ahead DFA walk
+// over the whole input records every chunk's start state and the end
+// state (dfa.Machine.ChunkStartStates). It replaces parseVectors and
+// scanStates where the host is too narrow for the multi-DFA
+// speculation to pay off, and is charged to the "parse" phase.
+func (p *pipeline) chunkStates() error {
+	p.initChunks()
+	p.startState = device.Alloc[uint8](p.Arena, p.chunks)
+	p.Device.Launch("parse", 1, func(int) {
+		p.endState = p.Machine.ChunkStartStates(p.input, p.ChunkSize, p.startState)
+	})
+	return p.checkEndState()
+}
+
 // parseVectors is the first parse kernel (§3.1, Figure 3): one simulated
 // DFA instance per possible start state per chunk, producing each
 // chunk's state-transition vector. The vectors live in one flat device
 // buffer, one row per chunk.
 func (p *pipeline) parseVectors() error {
-	n := len(p.input)
-	p.stats.InputBytes = int64(n)
-	p.chunks = (n + p.ChunkSize - 1) / p.ChunkSize
-	p.stats.Chunks = p.chunks
+	p.initChunks()
 	m := p.Machine
 	p.vectors = statevec.AllocVectors(p.Arena, p.chunks, m.NumStates())
 	p.Device.Launch("parse", p.chunks, func(c int) {
@@ -105,7 +155,6 @@ func (p *pipeline) parseVectors() error {
 // exclusive scan over the state-transition vectors (§3.1) and validates
 // the input's end state.
 func (p *pipeline) scanStates() error {
-	n := len(p.input)
 	d, m := p.Device, p.Machine
 	scanned := device.Alloc[statevec.Vector](p.Arena, p.chunks)
 	total := statevec.ExclusiveScanArena(d, p.Arena, "scan", m.NumStates(), p.vectors, scanned)
@@ -115,9 +164,16 @@ func (p *pipeline) scanStates() error {
 	})
 	p.vectors = nil // dead: the scan results are fully extracted below
 	p.endState = total[m.Start()]
-	if n == 0 {
+	if len(p.input) == 0 {
 		p.endState = m.Start()
 	}
+	return p.checkEndState()
+}
+
+// checkEndState validates the input's end state and notes an
+// unterminated trailing record.
+func (p *pipeline) checkEndState() error {
+	n, m := len(p.input), p.Machine
 	// In remainder mode a non-accepting end state is expected (the tail
 	// will be re-parsed with the next partition); only the invalid sink
 	// is a hard failure.

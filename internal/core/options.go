@@ -1,9 +1,9 @@
 // Package core orchestrates ParPaRaw's full parsing pipeline (§3):
 //
-//	parse     multi-DFA state-transition vectors per chunk, then a single
-//	          DFA pass emitting the record/field/control bitmap indexes
-//	scan      composite exclusive scan over the vectors (start states) and
-//	          the record/column offset scans
+//	parse     each chunk's start state, then a single DFA pass per chunk
+//	          emitting the record/field/control bitmap indexes
+//	scan      the record/column offset scans (plus, on the multi-DFA
+//	          path, the composite scan over the state-transition vectors)
 //	tag       writing per-symbol column tags plus, depending on the
 //	          tagging mode, record tags, inline terminators, or the
 //	          delimiter vector
@@ -12,6 +12,17 @@
 //	convert   CSS index construction and typed columnar materialisation
 //
 // These five phase names match the series of Figure 9 and Figure 11.
+//
+// Chunk start states come from one of two context passes. The paper's
+// multi-DFA pass (§3.1) simulates one DFA instance per possible start
+// state per chunk and composes the state-transition vectors with a
+// scan: |S| times the work of one walk, bought back by thousands of
+// GPU cores. On a host with fewer workers than that overhead a single
+// sequential walk with skip-ahead (the Instant Loading safe mode) is
+// faster, so Plan.Execute takes it whenever the workers an execution
+// can use fall below multiDFAMinWorkers. Modelled-time devices (the
+// paper's figures) always run the multi-DFA pass, and Options.MultiDFA
+// forces it for parity tests. Both paths yield the same start states.
 package core
 
 import (
@@ -128,6 +139,11 @@ type Options struct {
 	// way: the fast paths are bit-exact substitutes for the scalar
 	// parsers.
 	NoSWARConvert bool
+	// MultiDFA forces the paper's multi-DFA context inference
+	// (parseVectors + scanStates) even where the sequential context
+	// pass would be taken — the context-strategy reference path of the
+	// parity suites and fuzzers. Output is identical either way.
+	MultiDFA bool
 	// ConvertWorkers is the number of concurrent column workers of the
 	// convert phase (§3.3): index construction, type inference, and
 	// materialisation of distinct columns run on a pool of this many

@@ -60,6 +60,7 @@ type pipeline struct {
 	baseOffset  int64
 	onBadRecord func(BadRecord)
 
+	multiDFA   bool // context pass: multi-DFA (parseVectors, scanStates) or chunkStates
 	chunks     int
 	vectors    []statevec.Vector // parseVectors → scanStates
 	startState []uint8

@@ -648,25 +648,38 @@ func TestParseTrailingRemainderInlineMode(t *testing.T) {
 
 // TestArenaPhaseAccounting checks that every explicit kernel stage
 // draws device memory through the run's arena and appears in the
-// per-stage high-water accounting.
+// per-stage high-water accounting, on both context paths: the
+// sequential pass (a one-worker device takes it) and the multi-DFA pass
+// (forced by MultiDFA). Stages of the path not taken must stay empty.
 func TestArenaPhaseAccounting(t *testing.T) {
-	arena := device.NewArena()
-	opts := testOpts()
-	opts.Arena = arena
-	// A Where predicate makes the optional filterRows stage draw arena
-	// memory too, so the loop below can insist on every stage.
-	opts.Where = []convert.Predicate{{Column: 0, Op: convert.PredNotNull}}
-	input := strings.Repeat("12,\"a,b\",3.5\n", 200)
-	res, err := Parse([]byte(input), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.DeviceBytes != arena.PeakBytes() {
-		t.Errorf("DeviceBytes = %d, arena peak = %d", res.Stats.DeviceBytes, arena.PeakBytes())
-	}
-	for _, stage := range KernelStageNames() {
-		if arena.PhasePeak(stage) == 0 {
-			t.Errorf("stage %q has no arena footprint recorded", stage)
+	for _, multiDFA := range []bool{false, true} {
+		arena := device.NewArena()
+		opts := testOpts()
+		opts.Device = device.New(device.Config{Workers: 1})
+		opts.MultiDFA = multiDFA
+		opts.Arena = arena
+		// A Where predicate makes the optional filterRows stage draw arena
+		// memory too, so the loop below can insist on every stage.
+		opts.Where = []convert.Predicate{{Column: 0, Op: convert.PredNotNull}}
+		input := strings.Repeat("12,\"a,b\",3.5\n", 200)
+		res, err := Parse([]byte(input), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.DeviceBytes != arena.PeakBytes() {
+			t.Errorf("multiDFA=%v: DeviceBytes = %d, arena peak = %d", multiDFA, res.Stats.DeviceBytes, arena.PeakBytes())
+		}
+		taken := make(map[string]bool)
+		for _, stage := range KernelStageNames(multiDFA) {
+			taken[stage] = true
+			if arena.PhasePeak(stage) == 0 {
+				t.Errorf("multiDFA=%v: stage %q has no arena footprint recorded", multiDFA, stage)
+			}
+		}
+		for _, stage := range KernelStageNames(!multiDFA) {
+			if !taken[stage] && arena.PhasePeak(stage) != 0 {
+				t.Errorf("multiDFA=%v: stage %q of the other context path ran", multiDFA, stage)
+			}
 		}
 	}
 }

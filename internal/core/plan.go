@@ -114,6 +114,11 @@ type Exec struct {
 	// budget across its in-flight partitions here, so InFlight ×
 	// per-partition workers never oversubscribes the host.
 	ConvertWorkers int
+	// InFlight is the number of executions sharing the plan's device
+	// with this one (the streaming ring's depth); 0 means 1. The
+	// workers left to this execution — the device's divided by
+	// InFlight — choose its context pass (see the package doc).
+	InFlight int
 	// Ctx, when non-nil, cancels the execution: it is checked between
 	// kernel stages (a launched kernel runs to completion, like a CUDA
 	// kernel), so a canceled run stops mid-partition at the next stage
@@ -161,7 +166,20 @@ func (p *Plan) BaseExec(arena *device.Arena) Exec {
 // parses directly (no pending header/skip trimming, no transcoding);
 // callers in those modes must fall back to the serial carry path.
 func (p *Plan) ScanRemainder(input []byte) int {
-	return p.opts.Machine.RecordRemainder(input)
+	rem, _ := p.opts.Machine.RecordRemainder(input)
+	return rem
+}
+
+// ScanBoundary is ScanRemainder plus whether input is idle: it holds no
+// complete record and its walk stays out of the invalid sink, so a
+// TrailingRemainder parse of it would report nothing but the whole
+// input as carry-over. The streaming pipelines carry an idle partition
+// into the next one without parsing it, which keeps a record many
+// partitions long from being re-parsed once per partition.
+func (p *Plan) ScanBoundary(input []byte) (remainder int, idle bool) {
+	m := p.opts.Machine
+	rem, end := m.RecordRemainder(input)
+	return rem, rem == len(input) && !m.IsInvalid(end)
 }
 
 // BoundarySound reports whether partition-at-a-time streaming is sound
@@ -196,6 +214,8 @@ func (p *Plan) Execute(input []byte, exec Exec) (*Result, error) {
 	if exec.ConvertWorkers > 0 {
 		o.ConvertWorkers = exec.ConvertWorkers
 	}
+	workers := o.Device.Workers() / max(exec.InFlight, 1)
+	multiDFA := o.MultiDFA || o.Device.ModelledTime() || float64(workers) >= multiDFAMinWorkers
 
 	start := time.Now()
 	before := o.Device.Timers().Snapshot()
@@ -241,6 +261,7 @@ func (p *Plan) Execute(input []byte, exec Exec) (*Result, error) {
 	}
 	pl := &pipeline{
 		Options:     o,
+		multiDFA:    multiDFA,
 		input:       body,
 		headerNames: header,
 		ctx:         exec.Ctx,

@@ -256,6 +256,7 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 			stats.RowsPruned += p.res.RowsPruned
 			stats.BytesSkipped += p.res.BytesSkipped
 			stats.QuarantinedRecords += p.res.BadRecords
+			stats.Chunks += p.res.Chunks
 			if firstErr != nil {
 				continue
 			}
@@ -291,6 +292,7 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 		var carry []byte
 		var fill []byte
 		var nextBase int64 // stream offset of the next partition's first byte
+		stalled := false   // the previous partition held no complete record
 		for i := 0; ; i++ {
 			canceled := func() bool {
 				select {
@@ -348,8 +350,17 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 			dispatched := false
 			if !final {
 				bb := time.Now()
-				rem, ok := parser.Boundary(buf)
+				rem, idle, ok := parser.Boundary(buf)
 				stats.BoundaryBusy += time.Since(bb)
+				if stalled && idle {
+					// Still inside one record: carry the partition whole
+					// without parsing it (RingParser.Boundary). The
+					// emit stage recycles its slot and arena.
+					carry = append(carry[:0], buf...)
+					stats.MaxCarryOver = max(stats.MaxCarryOver, len(carry))
+					results <- parsedPart{idx: i, arena: arena}
+					continue
+				}
 				if ok && rem >= 0 && rem <= len(buf) {
 					// The next partition's input is now finalised without
 					// the parse: copy the carry tail out (buf is arena
@@ -359,6 +370,7 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 						stats.MaxCarryOver = len(carry)
 					}
 					wantComplete := len(buf) - rem
+					stalled = wantComplete == 0
 					nextBase = base + int64(wantComplete)
 					est, err := budget.charge(i, len(buf))
 					if err != nil {
@@ -443,6 +455,7 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 						// counts the skip.
 						nextBase = base + int64(len(buf))
 						carry = carry[:0]
+						stalled = false
 						results <- parsedPart{idx: i, arena: arena, est: est, dur: dur, skipped: true}
 						continue
 					}
@@ -450,6 +463,7 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 						err: fmt.Errorf("stream: partition %d: %w", i, err)}
 					return
 				}
+				stalled = res.CompleteBytes == 0
 				nextBase = base + int64(res.CompleteBytes)
 				carry = append(carry[:0], buf[res.CompleteBytes:]...)
 				if len(carry) > stats.MaxCarryOver {

@@ -85,11 +85,11 @@ func (p *ringLineParser) ParseInFlight(arena *device.Arena, part Partition) (Par
 	return p.parse(part.Input, part.Final)
 }
 
-func (p *ringLineParser) Boundary(input []byte) (int, bool) {
+func (p *ringLineParser) Boundary(input []byte) (int, bool, bool) {
 	if p.ambiguous {
-		return 0, false
+		return 0, false, false
 	}
-	return len(input) - (bytes.LastIndexByte(input, '\n') + 1), true
+	return len(input) - (bytes.LastIndexByte(input, '\n') + 1), false, true
 }
 
 func ringTestInput(records int) ([]byte, []string) {
@@ -320,9 +320,9 @@ func (p *lyingBoundaryParser) ParseInFlight(arena *device.Arena, part Partition)
 	return p.inner.ParseInFlight(arena, part)
 }
 
-func (p *lyingBoundaryParser) Boundary(input []byte) (int, bool) {
-	rem, _ := p.inner.Boundary(input)
-	return rem + 1, true // off by one: the parse will disagree
+func (p *lyingBoundaryParser) Boundary(input []byte) (int, bool, bool) {
+	rem, _, _ := p.inner.Boundary(input)
+	return rem + 1, false, true // off by one: the parse will disagree
 }
 
 // TestRingEmptyInput mirrors the serial degenerate case: one empty

@@ -102,6 +102,9 @@ type PartitionResult struct {
 	// to the caller's quarantine callback; the pipeline sums it into
 	// Stats.QuarantinedRecords.
 	BadRecords int64
+	// Chunks is the number of data-parallel chunks the parse cut the
+	// partition into; the pipeline sums it into Stats.Chunks.
+	Chunks int
 }
 
 // Parser parses one partition on the device.
@@ -203,8 +206,14 @@ type RingParser interface {
 	// would report, when that is determinable without a full parse
 	// (ok=false falls the partition back to the serial carry path —
 	// e.g. while first-partition trimming is unsettled or the input
-	// needs transcoding before record boundaries exist).
-	Boundary(input []byte) (remainder int, ok bool)
+	// needs transcoding before record boundaries exist). idle, which
+	// holds whether or not ok does, reports that input has no complete
+	// record and that a parse would report nothing but the whole input
+	// as carry-over. When the previous partition held no complete
+	// record either, both pipelines carry an idle partition whole into
+	// the next without parsing it, so a record spanning many partitions
+	// is parsed about once instead of once per partition.
+	Boundary(input []byte) (remainder int, idle, ok bool)
 	// ParseInFlight parses one partition on the given arena.
 	ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error)
 }
@@ -228,6 +237,8 @@ type Stats struct {
 	// the per-arena peaks of every arena the run drew — the memory cost
 	// of depth: InFlight × one partition's footprint.
 	DeviceBytes int64
+	// Chunks sums the data-parallel chunks of every partition parse.
+	Chunks int
 	// InFlight is the ring depth the run actually used (1 for the
 	// serial pipeline).
 	InFlight int
@@ -413,6 +424,8 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 	}
 
 	// Parse (serial across partitions, but internally parallel).
+	rp, _ := parser.(RingParser)
+	stalled := false // the previous partition held no complete record
 	var carry []byte
 	var base int64 // stream offset of the current carry/partition start
 	var cur chunk  // current chunk being consumed
@@ -481,6 +494,21 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 			buf = append(buf, seg...)
 		}
 
+		if stalled && !final && rp != nil {
+			if _, idle, _ := rp.Boundary(buf); idle {
+				// Still inside one record: carry the partition whole
+				// without parsing it (RingParser.Boundary).
+				stats.Partitions++
+				for _, b := range spent {
+					inputTokens <- b
+				}
+				spent = spent[:0]
+				carry = append(carry[:0], buf...)
+				stats.MaxCarryOver = max(stats.MaxCarryOver, len(carry))
+				continue
+			}
+		}
+
 		parseStart := time.Now()
 		part := Partition{Index: i, Base: base, Input: buf, Final: final}
 		res, err := safeParse(func() (PartitionResult, error) {
@@ -508,6 +536,7 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 			stats.QuarantinedPartitions++
 			base += int64(len(buf))
 			carry = carry[:0]
+			stalled = false
 			if final {
 				break
 			}
@@ -519,6 +548,7 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 		stats.RowsPruned += res.RowsPruned
 		stats.BytesSkipped += res.BytesSkipped
 		stats.QuarantinedRecords += res.BadRecords
+		stats.Chunks += res.Chunks
 		if res.Table != nil {
 			stats.OutputBytes += res.Table.DataBytes()
 			tables = append(tables, res.Table)
@@ -526,6 +556,7 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 		if final {
 			break
 		}
+		stalled = res.CompleteBytes == 0
 		base += int64(res.CompleteBytes)
 		carry = append(carry[:0], buf[res.CompleteBytes:]...)
 		if len(carry) > stats.MaxCarryOver {

@@ -176,6 +176,10 @@ type referencePaths struct {
 	// noPushdown applies Scan.Where to the materialised table instead
 	// of pruning rows before the partition and convert stages.
 	noPushdown bool
+	// multiDFA infers chunk contexts with the paper's multi-DFA pass
+	// and composite scan even where the sequential context pass would
+	// be taken.
+	multiDFA bool
 }
 
 // Encoding identifies the input's symbol encoding (§4.2).
@@ -212,7 +216,8 @@ type Stats struct {
 	// InputBytes is the byte count parsed (after row skipping and header
 	// consumption).
 	InputBytes int64
-	// Chunks is the number of data-parallel chunks.
+	// Chunks is the number of data-parallel chunks (summed over the
+	// partitions on ParseReader's streamed route).
 	Chunks int
 	// Records and Columns are the output dimensions.
 	Records int64
@@ -233,10 +238,11 @@ type Stats struct {
 	// device only had to index, not move.
 	BytesSkipped int64
 	// Phases maps each pipeline phase (parse, scan, tag, partition,
-	// convert) to its device time — the Figure 9 breakdown.
+	// convert) to its device time — the Figure 9 breakdown. It is nil
+	// on ParseReader's streamed route, which does not measure it.
 	Phases map[string]time.Duration
 	// DeviceTime is the total device time across all phases (the
-	// CUDA-event-sum analogue).
+	// CUDA-event-sum analogue); zero when Phases is nil.
 	DeviceTime time.Duration
 	// Duration is the wall-clock time of the parse.
 	Duration time.Duration
@@ -341,6 +347,7 @@ func (o Options) internal(trailing core.TrailingMode) (core.Options, error) {
 		SplitTables:        o.reference.splitTables,
 		NoSkipAhead:        o.reference.noSkipAhead,
 		NoSWARConvert:      o.reference.noSWARConvert,
+		MultiDFA:           o.reference.multiDFA,
 		ConvertWorkers:     o.ConvertWorkers,
 		InFlight:           o.InFlight,
 	}

@@ -10,10 +10,15 @@ import (
 )
 
 // DefaultPartitionSize is the streaming partition size used when
-// StreamOptions.PartitionSize is zero. The paper's Figure 12 finds the
-// end-to-end sweet spot at 128-256 MB for multi-gigabyte inputs; 32 MB
-// is a balanced default for laptop-scale runs.
-const DefaultPartitionSize = 32 << 20
+// StreamOptions.PartitionSize is zero. The paper's Figure 12 finds its
+// GPU's sweet spot at 128-256 MB, where one partition fills thousands
+// of cores. A CPU gets its parallelism from partitions in flight
+// instead, so many small partitions win: a sweep of 256 KiB to 32 MiB
+// partitions over 64 MiB inputs on a 2-CPU x86-64 host (BENCH_13.json)
+// plateaus from 256 KiB to 2 MiB for both taxi ParseReader and yelp
+// StreamReader, at about twice the 32 MiB rate and a tenth of its peak
+// memory. 1 MiB sits in the middle of that plateau.
+const DefaultPartitionSize = 1 << 20
 
 // Bus is an interconnect model that streaming runs ignore.
 //
@@ -281,8 +286,8 @@ func StreamReaderContext(ctx context.Context, r io.Reader, opts StreamOptions) (
 // ParseReader stops buffering the whole input and routes it through the
 // streaming pipeline instead: reading to the end first would defeat the
 // point of a Reader entry point for large inputs. At twice
-// DefaultPartitionSize (64 MiB), inputs small enough to parse in one
-// shot still take the faster single-shot path, while anything larger
+// DefaultPartitionSize (2 MiB), inputs too small to fill a ring of
+// partitions still take the single-shot path, while anything larger
 // streams with bounded host buffering. It is a variable only so tests
 // can lower it; services should treat it as a constant.
 var ReaderStreamThreshold = 2 * DefaultPartitionSize
@@ -294,9 +299,11 @@ var ReaderStreamThreshold = 2 * DefaultPartitionSize
 // table, so ParseReader never materialises more than O(threshold +
 // output) host memory for the raw input. On the streamed route, type
 // inference sees only the first partition (pass an explicit Schema for
-// full determinism), Stats reports volumes and duration but no
-// per-phase device times or chunk counts, and Stats.InputBytes counts
-// raw streamed bytes rather than post-header parsed bytes.
+// full determinism), Stats reports volumes, duration and the chunks
+// summed over the partition parses but no per-phase device times
+// (Phases is nil: partitions parsing concurrently share the device's
+// timers), and Stats.InputBytes counts raw streamed bytes rather than
+// post-header parsed bytes.
 // Stats.InvalidInput is reported on both routes.
 func ParseReader(r io.Reader, opts Options) (*Result, error) {
 	e, err := NewEngine(opts)

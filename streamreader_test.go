@@ -11,7 +11,13 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/faultinject"
+	"repro/internal/stream"
+	"repro/internal/workload"
 )
 
 // maxReadReader asserts the pipeline pulls input in bounded chunks: any
@@ -309,5 +315,93 @@ func TestStreamReaderEmptyAndHeaderOnly(t *testing.T) {
 	}
 	if res.NumRows() != 0 {
 		t.Errorf("header-only rows = %d", res.NumRows())
+	}
+}
+
+// completeRecordPartitions replays the streaming carry chain over input
+// and counts the partitions that hold at least one complete record
+// (the final partition always counts: it is parsed to its last byte).
+func completeRecordPartitions(plan *core.Plan, input []byte, partSize int) int {
+	count, carry, off := 0, 0, 0
+	for {
+		fresh := stream.NextFresh(partSize, carry, len(input)-off)
+		buf := input[off-carry : off+fresh]
+		off += fresh
+		if off == len(input) {
+			return count + 1
+		}
+		carry = plan.ScanRemainder(buf)
+		if carry < len(buf) {
+			count++
+		}
+	}
+}
+
+// TestStreamGiantRecordParsedOnce streams a record 32 partitions long,
+// at the head of the input and mid-stream, through the serial pipeline
+// and the ring. A partition inside the record is carried whole without
+// a parse once the previous one held no complete record either, so
+// the parses stay within the partitions holding a complete record plus
+// one — instead of one parse per partition over an ever-growing carry.
+func TestStreamGiantRecordParsedOnce(t *testing.T) {
+	const part = 4 << 10
+	giant := `7,"` + strings.Repeat("lorem, ipsum\n", 32*part/13) + `",8` + "\n"
+	small := strings.Repeat("1,\"a,b\",2\n3,c,4\n", part/8)
+	for _, tc := range []struct{ name, input string }{
+		{"head", giant + small},
+		{"middle", small + giant + small},
+	} {
+		input := []byte(tc.input)
+		want, err := Parse(input, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(Options{Schema: want.Table.Schema()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := completeRecordPartitions(eng.plan, input, part) + 1
+		for _, inFlight := range []int{1, 2} {
+			label := fmt.Sprintf("%s/inflight=%d", tc.name, inFlight)
+			var parses atomic.Int64
+			faultinject.SetRingParse(func(int) { parses.Add(1) })
+			res, err := eng.Stream(input, StreamConfig{PartitionSize: part, InFlight: inFlight})
+			faultinject.SetRingParse(nil)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got, err := res.Combined()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertTablesIdentical(t, label, got, want.Table)
+			if n := parses.Load(); n > int64(bound) {
+				t.Errorf("%s: %d partition parses over %d partitions, want at most %d",
+					label, n, res.Stats.Partitions, bound)
+			}
+			if res.Stats.MaxCarryOver < len(giant)-part {
+				t.Errorf("%s: max carry-over %d, want about the %d-byte record", label, res.Stats.MaxCarryOver, len(giant))
+			}
+		}
+	}
+}
+
+// TestParseReaderStreamedChunks: ParseReader's streamed route sums the
+// partitions' chunk counts — every input byte lies in at least one
+// parsed 31-byte chunk — and leaves the unmeasured device time unset.
+func TestParseReaderStreamedChunks(t *testing.T) {
+	input := workload.Taxi().Generate(DefaultPartitionSize*5/2, 3)
+	defer func(old int) { ReaderStreamThreshold = old }(ReaderStreamThreshold)
+	ReaderStreamThreshold = 1 << 10
+	res, err := ParseReader(bytes.NewReader(input), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	min := (res.Stats.InputBytes + core.DefaultChunkSize - 1) / core.DefaultChunkSize
+	if int64(res.Stats.Chunks) < min {
+		t.Errorf("Chunks = %d for %d input bytes, want at least %d", res.Stats.Chunks, res.Stats.InputBytes, min)
+	}
+	if res.Stats.Phases != nil || res.Stats.DeviceTime != 0 {
+		t.Errorf("streamed route reports phases %v, device time %v; want none", res.Stats.Phases, res.Stats.DeviceTime)
 	}
 }
