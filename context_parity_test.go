@@ -2,10 +2,10 @@ package parparaw
 
 // Context-path parity: the sequential context pass and the paper's
 // multi-DFA pass must resolve the same chunk start states, so every
-// output is byte-identical whichever path an execution takes. A
-// one-worker device takes the sequential pass on any host (it is below
-// the crossover); reference.multiDFA forces the multi-DFA pass. Run
-// with -race: the streaming legs drive the ring.
+// output is byte-identical whichever path an execution takes. The
+// production path takes the sequential pass; reference.multiDFA forces
+// the multi-DFA pass. Run with -race: the streaming legs drive the
+// ring.
 
 import (
 	"bytes"
@@ -60,9 +60,8 @@ func TestContextPathParity(t *testing.T) {
 		}
 		for _, chunk := range []int{1, 31, 64} {
 			label := fmt.Sprintf("%s/chunk=%d", name, chunk)
-			seq := Options{Format: contextParityFormat(t, dialect), ChunkSize: chunk, Workers: 1}
+			seq := Options{Format: contextParityFormat(t, dialect), ChunkSize: chunk}
 			multi := seq
-			multi.Workers = 0
 			multi.reference.multiDFA = true
 
 			a, errA := Parse(input, seq)

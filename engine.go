@@ -223,11 +223,11 @@ func (e *Engine) ParseReaderContext(ctx context.Context, r io.Reader) (*Result, 
 		}
 		return e.ParseContext(ctx, append(head, rest...))
 	}
-	sres, chunks, err := e.streamReader(ctx, io.MultiReader(bytes.NewReader(head), r), StreamConfig{})
+	sres, err := e.StreamReaderContext(ctx, io.MultiReader(bytes.NewReader(head), r), StreamConfig{})
 	if err != nil {
 		return nil, err
 	}
-	return streamedResult(sres, chunks)
+	return streamedResult(sres)
 }
 
 // StreamConfig holds the per-run knobs of an Engine streaming call: the
@@ -315,15 +315,8 @@ func (e *Engine) StreamReader(r io.Reader, cfg StreamConfig) (*StreamResult, err
 // inside the source's io.Reader: Go cannot cancel a Read in flight, so
 // a stalled reader delays (but never prevents) the shutdown.
 func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg StreamConfig) (*StreamResult, error) {
-	sres, _, err := e.streamReader(ctx, r, cfg)
-	return sres, err
-}
-
-// streamReader is StreamReaderContext that also returns the chunk count
-// summed over the partition parses, which StreamStats does not carry.
-func (e *Engine) streamReader(ctx context.Context, r io.Reader, cfg StreamConfig) (*StreamResult, int, error) {
 	if !e.plan.BoundarySound() {
-		return nil, 0, ErrUnstreamable
+		return nil, ErrUnstreamable
 	}
 	partSize := cfg.PartitionSize
 	if partSize <= 0 {
@@ -339,7 +332,7 @@ func (e *Engine) streamReader(ctx context.Context, r io.Reader, cfg StreamConfig
 		var head [3]byte
 		n, err := io.ReadFull(r, head[:])
 		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			return nil, 0, fmt.Errorf("parparaw: reading input: %w",
+			return nil, fmt.Errorf("parparaw: reading input: %w",
 				&parparawerr.InputError{Offset: int64(n), Partition: parparawerr.NoPartition, Attempts: 1, Err: err})
 		}
 		enc, skip := transcode.DetectEncoding(head[:n])
@@ -389,7 +382,6 @@ func (e *Engine) streamReader(ctx context.Context, r io.Reader, cfg StreamConfig
 		// the ring so InFlight × per-partition workers stays at the
 		// host's parallelism instead of oversubscribing it.
 		scfg.Arenas = enginePool{e}
-		rp.inFlight = inFlight
 		if cw := opts.ConvertWorkers / inFlight; cw < opts.ConvertWorkers {
 			if cw < 1 {
 				cw = 1
@@ -417,9 +409,9 @@ func (e *Engine) streamReader(ctx context.Context, r io.Reader, cfg StreamConfig
 		if errors.As(err, &ie) && ie.Stage == "boundary" {
 			e.boundaryMistrust.Add(1)
 		}
-		return streamResultFrom(rp, res), 0, err
+		return streamResultFrom(rp, res), err
 	}
-	return streamResultFrom(rp, res), res.Stats.Chunks, nil
+	return streamResultFrom(rp, res), nil
 }
 
 // streamResultFrom converts the internal pipeline result (possibly the
@@ -429,7 +421,7 @@ func streamResultFrom(rp *ringParser, res *stream.Result) *StreamResult {
 	if res == nil {
 		return nil
 	}
-	out := &StreamResult{Header: rp.header, Order: res.Order}
+	out := &StreamResult{Header: rp.header, Order: res.Order, chunks: res.Stats.Chunks}
 	out.Tables = make([]*Table, len(res.Tables))
 	for i, t := range res.Tables {
 		out.Tables[i] = &Table{t: t}
@@ -478,9 +470,6 @@ type ringParser struct {
 	// stage (Exec.ConvertWorkers) so the ring's aggregate worker count
 	// matches the plan's budget.
 	convertWorkers int
-	// inFlight is the ring depth sharing the device (Exec.InFlight), from
-	// which each partition's context pass is chosen.
-	inFlight int
 	// serial is the serial pipeline's single recycled arena (nil under
 	// the ring).
 	serial *device.Arena
@@ -529,18 +518,27 @@ func (p *ringParser) ParseInFlight(arena *device.Arena, part stream.Partition) (
 // the transcoded bytes and mapped back (Plan.Execute), not on a raw
 // walk — and permanently once the engine's boundary-disagreement
 // counter has hit its limit (the learned serial-carry degradation).
-// Without trimming, an unsettled first partition still reports idle:
-// its parse would change nothing either, but it is never dispatched,
-// because the parse that settles it writes the header and schema.
-func (p *ringParser) Boundary(part []byte) (rem int, idle, ok bool) {
-	if !p.direct || (p.first && p.trimming) {
-		return 0, false, false
+func (p *ringParser) Boundary(part []byte) (int, bool) {
+	if p.first || !p.prescan() {
+		return 0, false
 	}
-	if p.mistrust != nil && p.mistrust.Load() >= boundaryMistrustLimit {
-		return 0, false, false
+	return p.plan.ScanRemainder(part), true
+}
+
+// Idle resumes the pre-scan of a carry that held no complete record
+// (Plan.ScanIdle). It holds for an unsettled first partition without
+// trimming: a parse of it would settle nothing either.
+func (p *ringParser) Idle(input []byte, from, state int) (int, bool) {
+	if (p.first && p.trimming) || !p.prescan() {
+		return 0, false
 	}
-	rem, idle = p.plan.ScanBoundary(part)
-	return rem, idle, !p.first
+	return p.plan.ScanIdle(input, from, state)
+}
+
+// prescan reports whether a raw DFA walk can stand in for the parse:
+// the input is not transcoded and the walk is not distrusted.
+func (p *ringParser) prescan() bool {
+	return p.direct && (p.mistrust == nil || p.mistrust.Load() < boundaryMistrustLimit)
 }
 
 func (p *ringParser) parse(arena *device.Arena, part stream.Partition) (stream.PartitionResult, error) {
@@ -557,7 +555,6 @@ func (p *ringParser) parse(arena *device.Arena, part stream.Partition) (stream.P
 		exec.SkipRows = p.base.SkipRows
 	}
 	exec.ConvertWorkers = p.convertWorkers
-	exec.InFlight = p.inFlight
 	exec.Ctx = p.ctx
 	exec.Partition = part.Index
 	exec.BaseOffset = part.Base
@@ -624,11 +621,12 @@ func (p *ringParser) parse(arena *device.Arena, part stream.Partition) (stream.P
 	}, nil
 }
 
-// streamedResult folds a streaming run and its summed chunk count into
-// the single-table Result shape of Parse. Phases and DeviceTime stay
-// unset: concurrent partitions share the device's timers, so their
-// per-partition phase deltas overlap and cannot be summed.
-func streamedResult(sres *StreamResult, chunks int) (*Result, error) {
+// streamedResult folds a streaming run into the single-table Result
+// shape of Parse, with the chunk counts summed over the partitions.
+// Phases and DeviceTime stay unset: concurrent partitions share the
+// device's timers, so their per-partition phase deltas overlap and
+// cannot be summed.
+func streamedResult(sres *StreamResult) (*Result, error) {
 	combined, err := sres.Combined()
 	if err != nil {
 		return nil, err
@@ -638,7 +636,7 @@ func streamedResult(sres *StreamResult, chunks int) (*Result, error) {
 		Header: sres.Header,
 		Stats: Stats{
 			InputBytes:   sres.Stats.InputBytes,
-			Chunks:       chunks,
+			Chunks:       sres.chunks,
 			Records:      int64(combined.NumRows()),
 			Columns:      combined.NumColumns(),
 			InvalidInput: sres.Stats.InvalidInput,

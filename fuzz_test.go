@@ -150,10 +150,8 @@ func FuzzParse(f *testing.F) {
 		// sweeps the convert pool, so the sequential oracle below
 		// catches any divergence between the fast and reference paths —
 		// chunk contexts, per-byte parsing, field conversion — and any
-		// nondeterminism in the parallel convert stage. Without bit 3 a
-		// one-worker device takes the sequential context pass on any
-		// host.
-		opts := Options{
+		// nondeterminism in the parallel convert stage.
+		res, err := Parse(input, Options{
 			ChunkSize: chunk,
 			reference: referencePaths{
 				splitTables:   fastRaw&1 != 0,
@@ -162,11 +160,7 @@ func FuzzParse(f *testing.F) {
 				multiDFA:      fastRaw&8 != 0,
 			},
 			ConvertWorkers: convertWorkersFromFuzz(workersRaw),
-		}
-		if !opts.reference.multiDFA {
-			opts.Workers = 1
-		}
-		res, err := Parse(input, opts)
+		})
 		if err != nil {
 			t.Fatalf("Parse failed on %q: %v", input, err)
 		}

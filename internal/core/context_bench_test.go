@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/device"
@@ -9,13 +10,14 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkContextPass measures the two context passes alone on one
-// worker, per dialect, on 4 MiB inputs: the multi-DFA pass
-// (parseVectors + scanStates) and the sequential pass (chunkStates).
-// The smallest sequential/multi-DFA rate ratio across the dialects is
-// multiDFAMinWorkers. Run single-core:
+// BenchmarkContextPass measures the two context passes alone, per
+// dialect, on 4 MiB inputs and a device of GOMAXPROCS workers: the
+// multi-DFA pass (parseVectors + scanStates) and the sequential pass
+// (chunkStates). Their rate ratios keep the multi-DFA pass off the
+// production path (see the package doc). Run single-core, then with
+// the host's cores so the multi-DFA pass spreads over them:
 //
-//	go test -run '^$' -bench BenchmarkContextPass -cpu 1 ./internal/core
+//	go test -run '^$' -bench BenchmarkContextPass -cpu 1,2 ./internal/core
 func BenchmarkContextPass(b *testing.B) {
 	const size = 4 << 20
 	taxi := workload.Taxi().Generate(size, 1)
@@ -39,7 +41,7 @@ func BenchmarkContextPass(b *testing.B) {
 				name = tc.name + "/multi-dfa"
 			}
 			b.Run(name, func(b *testing.B) {
-				o := Options{Machine: tc.m, Device: device.New(device.Config{Workers: 1})}.withDefaults()
+				o := Options{Machine: tc.m, Device: device.New(device.Config{Workers: runtime.GOMAXPROCS(0)})}.withDefaults()
 				o.Arena = device.NewArena()
 				b.SetBytes(int64(len(tc.input)))
 				for i := 0; i < b.N; i++ {

@@ -59,19 +59,6 @@ var (
 	}
 )
 
-// multiDFAMinWorkers is the worker count from which the multi-DFA
-// context pass pays off. With w workers the multi-DFA pass runs at best
-// w times its single-core rate, so it is the smallest single-core rate
-// ratio of the sequential pass over parseVectors+scanStates across the
-// dialects (BenchmarkContextPass, 4 MiB inputs, 2-CPU x86-64 host,
-// BENCH_13.json): csv-yelp 6.2, jsonl 3.2, weblog 3.2, csv-taxi 2.9,
-// psv-yelp 2.1, tsv-taxi 1.03. Numeric TSV sets it: its multi-DFA
-// lanes converge after each delimiter, so speculation costs almost
-// nothing there. Hence only an execution left with a single worker —
-// such as each partition of a ring as deep as the host has cores —
-// takes the sequential pass, which is then never slower.
-const multiDFAMinWorkers = 1.03
-
 // KernelStageNames lists the explicit kernel stages in execution order —
 // the keys of the arena's per-stage footprint accounting — for the
 // multi-DFA or the sequential context path.
@@ -125,8 +112,8 @@ func (p *pipeline) initChunks() {
 // chunkStates is the sequential context pass: one skip-ahead DFA walk
 // over the whole input records every chunk's start state and the end
 // state (dfa.Machine.ChunkStartStates). It replaces parseVectors and
-// scanStates where the host is too narrow for the multi-DFA
-// speculation to pay off, and is charged to the "parse" phase.
+// scanStates on every device that does not model time, and is charged
+// to the "parse" phase.
 func (p *pipeline) chunkStates() error {
 	p.initChunks()
 	p.startState = device.Alloc[uint8](p.Arena, p.chunks)

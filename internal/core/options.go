@@ -17,12 +17,14 @@
 // multi-DFA pass (§3.1) simulates one DFA instance per possible start
 // state per chunk and composes the state-transition vectors with a
 // scan: |S| times the work of one walk, bought back by thousands of
-// GPU cores. On a host with fewer workers than that overhead a single
-// sequential walk with skip-ahead (the Instant Loading safe mode) is
-// faster, so Plan.Execute takes it whenever the workers an execution
-// can use fall below multiDFAMinWorkers. Modelled-time devices (the
-// paper's figures) always run the multi-DFA pass, and Options.MultiDFA
-// forces it for parity tests. Both paths yield the same start states.
+// GPU cores. On a CPU one sequential walk with skip-ahead (the Instant
+// Loading safe mode) does the same job 1.0-6.2 times faster than the
+// multi-DFA pass on one core, and 1.7-5.9 times faster than it spread
+// over two (BenchmarkContextPass, BENCH_13.json). The streaming routes
+// get their parallelism from partitions in flight instead, so
+// Plan.Execute always takes the sequential pass. Modelled-time devices (the paper's
+// figures) run the multi-DFA pass, and Options.MultiDFA forces it for
+// parity tests. Both paths yield the same start states.
 package core
 
 import (
@@ -140,9 +142,10 @@ type Options struct {
 	// parsers.
 	NoSWARConvert bool
 	// MultiDFA forces the paper's multi-DFA context inference
-	// (parseVectors + scanStates) even where the sequential context
-	// pass would be taken — the context-strategy reference path of the
-	// parity suites and fuzzers. Output is identical either way.
+	// (parseVectors + scanStates) on a device that does not model time,
+	// where the sequential context pass would be taken — the
+	// context-strategy reference path of the parity suites and
+	// fuzzers. Output is identical either way.
 	MultiDFA bool
 	// ConvertWorkers is the number of concurrent column workers of the
 	// convert phase (§3.3): index construction, type inference, and

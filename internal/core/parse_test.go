@@ -649,13 +649,12 @@ func TestParseTrailingRemainderInlineMode(t *testing.T) {
 // TestArenaPhaseAccounting checks that every explicit kernel stage
 // draws device memory through the run's arena and appears in the
 // per-stage high-water accounting, on both context paths: the
-// sequential pass (a one-worker device takes it) and the multi-DFA pass
-// (forced by MultiDFA). Stages of the path not taken must stay empty.
+// sequential pass (the default) and the multi-DFA pass (forced by
+// MultiDFA). Stages of the path not taken must stay empty.
 func TestArenaPhaseAccounting(t *testing.T) {
 	for _, multiDFA := range []bool{false, true} {
 		arena := device.NewArena()
 		opts := testOpts()
-		opts.Device = device.New(device.Config{Workers: 1})
 		opts.MultiDFA = multiDFA
 		opts.Arena = arena
 		// A Where predicate makes the optional filterRows stage draw arena

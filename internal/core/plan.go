@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/columnar"
 	"repro/internal/device"
+	"repro/internal/dfa"
 	"repro/internal/transcode"
 	"repro/internal/utfx"
 )
@@ -114,11 +115,6 @@ type Exec struct {
 	// budget across its in-flight partitions here, so InFlight ×
 	// per-partition workers never oversubscribes the host.
 	ConvertWorkers int
-	// InFlight is the number of executions sharing the plan's device
-	// with this one (the streaming ring's depth); 0 means 1. The
-	// workers left to this execution — the device's divided by
-	// InFlight — choose its context pass (see the package doc).
-	InFlight int
 	// Ctx, when non-nil, cancels the execution: it is checked between
 	// kernel stages (a launched kernel runs to completion, like a CUDA
 	// kernel), so a canceled run stops mid-partition at the next stage
@@ -170,16 +166,23 @@ func (p *Plan) ScanRemainder(input []byte) int {
 	return rem
 }
 
-// ScanBoundary is ScanRemainder plus whether input is idle: it holds no
-// complete record and its walk stays out of the invalid sink, so a
+// ScanIdle reports whether input is idle: it holds no complete record
+// and its boundary walk stays out of the invalid sink, so a
 // TrailingRemainder parse of it would report nothing but the whole
-// input as carry-over. The streaming pipelines carry an idle partition
-// into the next one without parsing it, which keeps a record many
-// partitions long from being re-parsed once per partition.
-func (p *Plan) ScanBoundary(input []byte) (remainder int, idle bool) {
+// input as carry-over. The walk resumes at input[from:] in state, the
+// end state an earlier idle ScanIdle returned for input[:from] (from 0
+// walks from the start), and end is its new end state. The streaming
+// pipelines carry an idle partition into the next one without parsing
+// it, growing the carry a partition at a time, so a record many
+// partitions long is walked once and parsed once.
+func (p *Plan) ScanIdle(input []byte, from, state int) (end int, idle bool) {
 	m := p.opts.Machine
-	rem, end := m.RecordRemainder(input)
-	return rem, rem == len(input) && !m.IsInvalid(end)
+	s := m.Start()
+	if from > 0 {
+		s = dfa.State(state)
+	}
+	rem, s := m.RecordRemainderFrom(s, input[from:])
+	return int(s), rem == len(input)-from && !m.IsInvalid(s)
 }
 
 // BoundarySound reports whether partition-at-a-time streaming is sound
@@ -214,8 +217,7 @@ func (p *Plan) Execute(input []byte, exec Exec) (*Result, error) {
 	if exec.ConvertWorkers > 0 {
 		o.ConvertWorkers = exec.ConvertWorkers
 	}
-	workers := o.Device.Workers() / max(exec.InFlight, 1)
-	multiDFA := o.MultiDFA || o.Device.ModelledTime() || float64(workers) >= multiDFAMinWorkers
+	multiDFA := o.MultiDFA || o.Device.ModelledTime()
 
 	start := time.Now()
 	before := o.Device.Timers().Snapshot()

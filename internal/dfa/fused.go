@@ -205,8 +205,15 @@ func (m *Machine) advanceVectorFused(v []uint8, chunk []byte) {
 // can tell a tail that is merely unterminated from one that ran into
 // the invalid sink.
 func (m *Machine) RecordRemainder(input []byte) (int, State) {
+	return m.RecordRemainderFrom(m.start, input)
+}
+
+// RecordRemainderFrom is RecordRemainder resuming a walk in state s: the
+// end state of an earlier walk over the bytes before input that emitted
+// no record delimiter. A record arriving a partition at a time is thus
+// walked once in all, not once per partition.
+func (m *Machine) RecordRemainderFrom(s State, input []byte) (int, State) {
 	ns := m.numStates
-	s := m.start
 	last := -1
 	i, n := 0, len(input)
 	for i < n {

@@ -221,7 +221,8 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 		for p := range results {
 			if p.arena != nil {
 				// Slot and arena travel together: results without an
-				// arena (source read errors) never took a slot.
+				// arena (source read errors, idle partitions) never
+				// took a slot.
 				budget.refund(p.est, p.arena.PeakBytes())
 				arenaFree <- p.arena
 				slots <- struct{}{}
@@ -293,6 +294,9 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 		var fill []byte
 		var nextBase int64 // stream offset of the next partition's first byte
 		stalled := false   // the previous partition held no complete record
+		// walked bytes of an idle carry end the boundary walk in
+		// walkState (RingParser.Idle).
+		walked, walkState := 0, 0
 		for i := 0; ; i++ {
 			canceled := func() bool {
 				select {
@@ -325,6 +329,28 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 			stats.InputBytes += int64(len(data))
 			final := last
 
+			if stalled && !final {
+				// Still inside one record? Grow the carry by the fresh
+				// bytes and resume the boundary walk over them alone.
+				carry = append(carry, data...)
+				data = data[:0]
+				bb := time.Now()
+				var idle bool
+				walkState, idle = parser.Idle(carry, walked, walkState)
+				stats.BoundaryBusy += time.Since(bb)
+				if idle {
+					// Carry the partition whole without parsing it: it
+					// takes no slot or arena, and its empty result keeps
+					// the emit stage's input order.
+					walked = len(carry)
+					stats.Partitions++
+					stats.MaxCarryOver = max(stats.MaxCarryOver, len(carry))
+					results <- parsedPart{idx: i}
+					continue
+				}
+				walked = 0
+			}
+
 			select {
 			case <-slots:
 			case <-quit:
@@ -350,17 +376,8 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 			dispatched := false
 			if !final {
 				bb := time.Now()
-				rem, idle, ok := parser.Boundary(buf)
+				rem, ok := parser.Boundary(buf)
 				stats.BoundaryBusy += time.Since(bb)
-				if stalled && idle {
-					// Still inside one record: carry the partition whole
-					// without parsing it (RingParser.Boundary). The
-					// emit stage recycles its slot and arena.
-					carry = append(carry[:0], buf...)
-					stats.MaxCarryOver = max(stats.MaxCarryOver, len(carry))
-					results <- parsedPart{idx: i, arena: arena}
-					continue
-				}
 				if ok && rem >= 0 && rem <= len(buf) {
 					// The next partition's input is now finalised without
 					// the parse: copy the carry tail out (buf is arena

@@ -44,6 +44,7 @@ type ringLineParser struct {
 
 	mu     sync.Mutex
 	parses int
+	walked int // bytes the boundary pre-scans walked
 }
 
 func newRingLineParser() *ringLineParser { return &ringLineParser{failAt: -1} }
@@ -85,11 +86,24 @@ func (p *ringLineParser) ParseInFlight(arena *device.Arena, part Partition) (Par
 	return p.parse(part.Input, part.Final)
 }
 
-func (p *ringLineParser) Boundary(input []byte) (int, bool, bool) {
+func (p *ringLineParser) Boundary(input []byte) (int, bool) {
 	if p.ambiguous {
-		return 0, false, false
+		return 0, false
 	}
-	return len(input) - (bytes.LastIndexByte(input, '\n') + 1), false, true
+	p.mu.Lock()
+	p.walked += len(input)
+	p.mu.Unlock()
+	return len(input) - (bytes.LastIndexByte(input, '\n') + 1), true
+}
+
+func (p *ringLineParser) Idle(input []byte, from, state int) (int, bool) {
+	if p.ambiguous {
+		return 0, false
+	}
+	p.mu.Lock()
+	p.walked += len(input) - from
+	p.mu.Unlock()
+	return 0, bytes.IndexByte(input[from:], '\n') < 0
 }
 
 func ringTestInput(records int) ([]byte, []string) {
@@ -320,9 +334,13 @@ func (p *lyingBoundaryParser) ParseInFlight(arena *device.Arena, part Partition)
 	return p.inner.ParseInFlight(arena, part)
 }
 
-func (p *lyingBoundaryParser) Boundary(input []byte) (int, bool, bool) {
-	rem, _, _ := p.inner.Boundary(input)
-	return rem + 1, false, true // off by one: the parse will disagree
+func (p *lyingBoundaryParser) Boundary(input []byte) (int, bool) {
+	rem, _ := p.inner.Boundary(input)
+	return rem + 1, true // off by one: the parse will disagree
+}
+
+func (p *lyingBoundaryParser) Idle(input []byte, from, state int) (int, bool) {
+	return p.inner.Idle(input, from, state)
 }
 
 // TestRingEmptyInput mirrors the serial degenerate case: one empty
@@ -338,5 +356,44 @@ func TestRingEmptyInput(t *testing.T) {
 	}
 	if res.Stats.Partitions != 1 {
 		t.Errorf("partitions = %d, want 1", res.Stats.Partitions)
+	}
+}
+
+// TestGiantRecordWalkedOnce streams a record 128 partitions long
+// through the serial pipeline and the ring. Partitions inside the
+// record are carried whole without a parse, and the boundary walk
+// resumes over each partition's fresh bytes instead of re-walking the
+// growing carry, so the pre-scans walk each byte about twice in all
+// (once while the record grows, once when its end arrives) where
+// restarting from the carry's start would walk it about 64 times.
+func TestGiantRecordWalkedOnce(t *testing.T) {
+	const part = 256
+	head, want := ringTestInput(20)
+	giant := strings.Repeat("g", 128*part)
+	tail, tailWant := ringTestInput(20)
+	input := append(append(append([]byte(nil), head...), giant+"\n"...), tail...)
+	want = append(append(want, giant), tailWant...)
+	for _, inFlight := range []int{1, 2} {
+		p := newRingLineParser()
+		res, err := Run(Config{PartitionSize: part, InFlight: inFlight, Arenas: &testArenaPool{}}, p, BytesSource(input))
+		if err != nil {
+			t.Fatalf("inflight=%d: %v", inFlight, err)
+		}
+		got := collectLines(res.Tables)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("inflight=%d: records differ", inFlight)
+		}
+		if idle := res.Stats.Partitions - p.parses; idle < 120 {
+			t.Errorf("inflight=%d: %d parses over %d partitions, want at least 120 carried unparsed",
+				inFlight, p.parses, res.Stats.Partitions)
+		}
+		if p.walked > 3*len(input) {
+			t.Errorf("inflight=%d: pre-scans walked %d bytes of a %d-byte input, want at most 3x",
+				inFlight, p.walked, len(input))
+		}
+		if res.Stats.MaxCarryOver < len(giant) {
+			t.Errorf("inflight=%d: max carry-over %d, want at least the %d-byte record",
+				inFlight, res.Stats.MaxCarryOver, len(giant))
+		}
 	}
 }

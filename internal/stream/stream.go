@@ -206,14 +206,18 @@ type RingParser interface {
 	// would report, when that is determinable without a full parse
 	// (ok=false falls the partition back to the serial carry path —
 	// e.g. while first-partition trimming is unsettled or the input
-	// needs transcoding before record boundaries exist). idle, which
-	// holds whether or not ok does, reports that input has no complete
-	// record and that a parse would report nothing but the whole input
-	// as carry-over. When the previous partition held no complete
-	// record either, both pipelines carry an idle partition whole into
-	// the next without parsing it, so a record spanning many partitions
-	// is parsed about once instead of once per partition.
-	Boundary(input []byte) (remainder int, idle, ok bool)
+	// needs transcoding before record boundaries exist).
+	Boundary(input []byte) (remainder int, ok bool)
+	// Idle reports whether input, a carry that held no complete record
+	// plus the fresh bytes appended to it, still holds none, so that a
+	// parse would report nothing but the whole input as carry-over.
+	// Its walk resumes at input[from:] in state, the end it returned
+	// when input[:from] was idle (from 0 walks from the start). When
+	// the previous partition held no complete record either, both
+	// pipelines carry an idle partition whole into the next without
+	// parsing it, so a record spanning many partitions is walked once
+	// and parsed once, not once per partition.
+	Idle(input []byte, from, state int) (end int, idle bool)
 	// ParseInFlight parses one partition on the given arena.
 	ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error)
 }
@@ -426,6 +430,9 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 	// Parse (serial across partitions, but internally parallel).
 	rp, _ := parser.(RingParser)
 	stalled := false // the previous partition held no complete record
+	// walked bytes of an idle carry end the boundary walk in walkState
+	// (RingParser.Idle).
+	walked, walkState := 0, 0
 	var carry []byte
 	var base int64 // stream offset of the current carry/partition start
 	var cur chunk  // current chunk being consumed
@@ -481,6 +488,28 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 		}
 		final := exhausted && !haveChunk
 
+		if stalled && !final && rp != nil {
+			// Still inside one record? Grow the carry by the fresh
+			// bytes and resume the boundary walk over them alone.
+			for _, seg := range segs {
+				carry = append(carry, seg...)
+			}
+			segs = segs[:0]
+			for _, b := range spent {
+				inputTokens <- b
+			}
+			spent = spent[:0]
+			var idle bool
+			if walkState, idle = rp.Idle(carry, walked, walkState); idle {
+				// Carry the partition whole without parsing it.
+				walked = len(carry)
+				stats.Partitions++
+				stats.MaxCarryOver = max(stats.MaxCarryOver, len(carry))
+				continue
+			}
+			walked = 0
+		}
+
 		// Recycle the previous partition's buffers: nothing transient
 		// outlives a partition parse (tables and the carry copy live on
 		// the heap), so from here on this partition reuses its
@@ -492,21 +521,6 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 		buf = append(buf, carry...)
 		for _, seg := range segs {
 			buf = append(buf, seg...)
-		}
-
-		if stalled && !final && rp != nil {
-			if _, idle, _ := rp.Boundary(buf); idle {
-				// Still inside one record: carry the partition whole
-				// without parsing it (RingParser.Boundary).
-				stats.Partitions++
-				for _, b := range spent {
-					inputTokens <- b
-				}
-				spent = spent[:0]
-				carry = append(carry[:0], buf...)
-				stats.MaxCarryOver = max(stats.MaxCarryOver, len(carry))
-				continue
-			}
 		}
 
 		parseStart := time.Now()

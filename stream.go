@@ -205,6 +205,9 @@ type StreamResult struct {
 	Header []string
 	// Stats describes the run.
 	Stats StreamStats
+	// chunks sums the partition parses' chunk counts, which
+	// ParseReader's streamed route reports as Stats.Chunks.
+	chunks int
 }
 
 // Combined concatenates the per-partition tables into one.
@@ -285,12 +288,13 @@ func StreamReaderContext(ctx context.Context, r io.Reader, opts StreamOptions) (
 // ReaderStreamThreshold is the input size in bytes above which
 // ParseReader stops buffering the whole input and routes it through the
 // streaming pipeline instead: reading to the end first would defeat the
-// point of a Reader entry point for large inputs. At twice
-// DefaultPartitionSize (2 MiB), inputs too small to fill a ring of
-// partitions still take the single-shot path, while anything larger
-// streams with bounded host buffering. It is a variable only so tests
-// can lower it; services should treat it as a constant.
-var ReaderStreamThreshold = 2 * DefaultPartitionSize
+// point of a Reader entry point for large inputs. It is 64 MiB, not
+// tied to DefaultPartitionSize: below it the input parses in one shot
+// and type inference sees all of it, which a ring of small partitions
+// cannot match (the streamed route infers from the first partition
+// only). It is a variable only so tests can lower it; services should
+// treat it as a constant.
+var ReaderStreamThreshold = 64 << 20
 
 // ParseReader parses everything r yields. Inputs up to
 // ReaderStreamThreshold bytes are buffered and parsed in one shot
@@ -298,8 +302,8 @@ var ReaderStreamThreshold = 2 * DefaultPartitionSize
 // pipeline with DefaultPartitionSize partitions, then folded into one
 // table, so ParseReader never materialises more than O(threshold +
 // output) host memory for the raw input. On the streamed route, type
-// inference sees only the first partition (pass an explicit Schema for
-// full determinism), Stats reports volumes, duration and the chunks
+// inference sees only the first partition, DefaultPartitionSize bytes
+// (pass an explicit Schema for full determinism), Stats reports volumes, duration and the chunks
 // summed over the partition parses but no per-phase device times
 // (Phases is nil: partitions parsing concurrently share the device's
 // timers), and Stats.InputBytes counts raw streamed bytes rather than

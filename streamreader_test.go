@@ -405,3 +405,32 @@ func TestParseReaderStreamedChunks(t *testing.T) {
 		t.Errorf("streamed route reports phases %v, device time %v; want none", res.Stats.Phases, res.Stats.DeviceTime)
 	}
 }
+
+// TestParseReaderInfersOverWholeInput: an input between a few
+// partitions and ReaderStreamThreshold parses in one shot, so a column
+// that is integral for its first megabyte and fractional after it is
+// inferred as float, exactly as Parse infers it, instead of being
+// frozen as an integer by the first partition.
+func TestParseReaderInfersOverWholeInput(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; sb.Len() < 3<<20; i++ {
+		if sb.Len() < 3<<19 {
+			fmt.Fprintf(&sb, "%d,row-%d\n", i, i)
+		} else {
+			fmt.Fprintf(&sb, "%d.5,row-%d\n", i, i)
+		}
+	}
+	input := []byte(sb.String())
+	want, err := Parse(input, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ := want.Table.Schema().Fields[0].Type; typ != Float64 {
+		t.Fatalf("Parse inferred column 0 as %v, want Float64", typ)
+	}
+	got, err := ParseReader(bytes.NewReader(input), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTablesIdentical(t, "ParseReader", got.Table, want.Table)
+}
