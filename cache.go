@@ -105,6 +105,7 @@ func Fingerprint(opts Options) string {
 	boolByte(opts.reference.noSWARConvert)
 	boolByte(opts.reference.noPushdown)
 	boolByte(opts.reference.multiDFA)
+	boolByte(opts.reference.perSymbolTags)
 	return string(b)
 }
 

@@ -136,6 +136,9 @@ func TestFingerprintDistinguishes(t *testing.T) {
 		{"multi-dfa-toggle",
 			Options{Format: csv},
 			Options{Format: csv, reference: referencePaths{multiDFA: true}}},
+		{"per-symbol-tags-toggle",
+			Options{Format: csv},
+			Options{Format: csv, reference: referencePaths{perSymbolTags: true}}},
 		{"schema-nil-vs-empty-name",
 			Options{Format: csv},
 			Options{Format: csv, Schema: NewSchema(Field{Name: ""})}},

@@ -142,14 +142,18 @@ func FuzzParse(f *testing.F) {
 	// Quoted runs across chunk boundaries with the multi-DFA context
 	// pass (bit 3), so both context paths meet the oracle.
 	f.Add([]byte("\"a long quoted, run\nspanning chunks\",x\ny,\"\"\"q\"\n"), uint8(5), uint8(8), uint8(1))
+	// Quoted, empty and one-byte fields with the per-symbol tag and
+	// partition path (bit 5), so both tag paths meet the oracle.
+	f.Add([]byte("a,\"\",b\n\"x,y\",,c\n,\"\"\n"), uint8(3), uint8(16), uint8(2))
 
 	f.Fuzz(func(t *testing.T, input []byte, chunkRaw, fastRaw, workersRaw uint8) {
 		chunk := int(chunkRaw%64) + 1
 		// fastRaw toggles the fused-table, skip-ahead, and SWAR-convert
-		// fast paths and the multi-DFA context pass, and workersRaw
-		// sweeps the convert pool, so the sequential oracle below
-		// catches any divergence between the fast and reference paths —
-		// chunk contexts, per-byte parsing, field conversion — and any
+		// fast paths, the multi-DFA context pass and the per-symbol tag
+		// path, and workersRaw sweeps the convert pool, so the
+		// sequential oracle below catches any divergence between the
+		// fast and reference paths — chunk contexts, per-byte parsing,
+		// tagging and partitioning, field conversion — and any
 		// nondeterminism in the parallel convert stage.
 		res, err := Parse(input, Options{
 			ChunkSize: chunk,
@@ -158,6 +162,7 @@ func FuzzParse(f *testing.F) {
 				noSkipAhead:   fastRaw&2 != 0,
 				noSWARConvert: fastRaw&4 != 0,
 				multiDFA:      fastRaw&8 != 0,
+				perSymbolTags: fastRaw&16 != 0,
 			},
 			ConvertWorkers: convertWorkersFromFuzz(workersRaw),
 		})

@@ -11,6 +11,7 @@ package convert
 import (
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // Parse errors. They are sentinel values — the hot path never formats.
@@ -133,10 +134,11 @@ func scale10(v float64, exp int) float64 {
 }
 
 // ParseFloat64 parses a decimal floating-point number with optional
-// fraction and exponent ("-12.34e-5"). It covers the numeric shapes of
-// delimiter-separated data; precision is within 1 ULP of the decimal
-// value for the magnitudes such data carries, which is what a GPU-side
-// parser provides as well.
+// fraction and exponent ("-12.34e-5"). The result is correctly
+// rounded, so it round-trips through strconv.FormatFloat: inside the
+// exact range (an integer mantissa below 2^53 scaled by at most 10^±22)
+// one multiplication or division rounds once, and every other field
+// falls back to strconv.ParseFloat.
 //
 // The payload shapes take SWAR validate-then-convert fast paths
 // (swar.go): one-word bodies ("1234.567") classify and convert from a
@@ -148,7 +150,8 @@ func scale10(v float64, exp int) float64 {
 // the chunked conversion could not reproduce, 4+ digit exponents. All
 // paths are bit-exact substitutes: fast-path magnitudes are exact in
 // both representations and the final scaling step (scale10) is shared,
-// so the single rounding happens identically.
+// so the single rounding happens identically; fields outside the exact
+// range defer to the scalar path and its strconv fallback.
 func ParseFloat64(b []byte) (float64, error) {
 	body, neg := b, false
 	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
@@ -196,6 +199,9 @@ func ParseFloat64(b []byte) (float64, error) {
 		}
 		if digits == 0 {
 			return 0, ErrSyntax // "." — the scalar verdict
+		}
+		if !exactFloat(mant, -frac) {
+			return ParseFloat64Scalar(b) // its strconv fallback
 		}
 		v := scale10(mant, -frac)
 		if neg {
@@ -273,11 +279,24 @@ func ParseFloat64Scalar(b []byte) (float64, error) {
 	if i != len(b) {
 		return 0, ErrSyntax
 	}
+	if !exactFloat(mant, exp-frac) {
+		v, _ := strconv.ParseFloat(string(b), 64) // the grammar is checked; overflow yields ±Inf
+		return v, nil
+	}
 	v := scale10(mant, exp-frac)
 	if neg {
 		v = -v
 	}
 	return v, nil
+}
+
+// exactFloat reports whether scale10(mant, exp) is correctly rounded:
+// an integer mantissa below 2^53 and a power of ten up to 10^22 are both
+// exact float64s, so the one multiplication or division rounds once
+// (Clinger's fast path). The scalar accumulation mant*10+d stays exact
+// while its result stays below 2^53.
+func exactFloat(mant float64, exp int) bool {
+	return mant < 1<<53 && exp >= -22 && exp <= 22
 }
 
 // ParseBool parses true/false in common spellings.

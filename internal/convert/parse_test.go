@@ -2,6 +2,7 @@ package convert
 
 import (
 	"math"
+	"math/rand"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -222,5 +223,42 @@ func TestFormatError(t *testing.T) {
 	msg := err.Error()
 	if len(msg) == 0 {
 		t.Error("empty message")
+	}
+}
+
+// TestParseFloat64CorrectlyRounded pins the round-trip contract: both
+// float parsers return strconv.ParseFloat's correctly rounded value, bit
+// for bit, so a value written with strconv.FormatFloat re-parses to
+// itself. The first case is a long integer mantissa whose scaled
+// accumulation used to land one ULP off.
+func TestParseFloat64CorrectlyRounded(t *testing.T) {
+	cases := []string{
+		"10170011111701017000000000000000000000000",
+		"1.0170011111701017e+40", "9007199254740993", "123456789012345678",
+		"1e23", "8.41e21", "1e-23", "2.2250738585072011e-308", "4.9e-324",
+		"1.7976931348623157e308", "1e400", "-1e400", "1e-400", "0.1e22", "1234.5e-27",
+	}
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 2000; i++ {
+		v := math.Float64frombits(rng.Uint64() &^ (1 << 63))
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			continue
+		}
+		cases = append(cases, strconv.FormatFloat(v, 'g', -1, 64), strconv.FormatFloat(v, 'f', -1, 64))
+	}
+	for _, s := range cases {
+		want, _ := strconv.ParseFloat(s, 64)
+		for _, p := range []struct {
+			name string
+			fn   func([]byte) (float64, error)
+		}{{"ParseFloat64", ParseFloat64}, {"ParseFloat64Scalar", ParseFloat64Scalar}} {
+			got, err := p.fn([]byte(s))
+			if err != nil {
+				t.Fatalf("%s(%q): %v", p.name, s, err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s(%q) = %v, strconv %v", p.name, s, got, want)
+			}
+		}
 	}
 }

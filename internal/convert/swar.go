@@ -277,6 +277,10 @@ func floatClassify(body []byte, neg bool) (float64, bool) {
 
 	// float64(mant) is exact (≤ 15 digits), and scale10 is the scalar
 	// parser's own scaling, so the single rounding step is shared.
+	// Scales beyond 10^±22 defer to the scalar path's exact fallback.
+	if !exactFloat(float64(mant), e-fracDigits) {
+		return 0, false
+	}
 	v := scale10(float64(mant), e-fracDigits)
 	if neg {
 		v = -v

@@ -241,22 +241,40 @@ func (p *pipeline) offsetScans() error {
 	return nil
 }
 
-// tagSymbolsStage is the tag phase (§3.2 bottom, §4.1): every symbol is
-// tagged with its output column, plus the mode-specific record
-// association.
+// tagSymbolsStage is the tag phase (§3.2 bottom, §4.1): every kept data
+// run is tagged with its output column, plus the mode-specific record
+// association. The run path (tagRuns) is the production path; the
+// paper's per-symbol tags (tagSymbols) run on modelled-time devices and
+// under Options.PerSymbolTags.
 func (p *pipeline) tagSymbolsStage() error {
-	p.rejected = p.tagSymbols()
+	if p.perSymbol {
+		p.rejected = p.tagSymbols()
+	} else {
+		p.rejected = p.tagRuns()
+	}
 	return nil
 }
 
 // partitionScatter is the partition phase (§3.3): a stable scatter of
 // the symbols (and their per-mode payloads) into per-column concatenated
-// symbol strings, with the key histogram yielding the CSS boundaries.
-// Column-tag keys span only sentinel+1 values, so instead of the
-// paper's general LSD radix sort (permutation passes + payload gathers)
-// a single-pass counting scatter moves every payload straight to its
-// final position — no permutation buffer, one data-movement pass.
+// symbol strings, with the per-key counts yielding the CSS boundaries.
+// The run path moves whole runs (scatterRuns); the per-symbol path
+// counting-sorts the tagged symbols (scatterSymbols).
 func (p *pipeline) partitionScatter() error {
+	if p.perSymbol {
+		p.scatterSymbols()
+	} else {
+		p.scatterRuns()
+	}
+	return nil
+}
+
+// scatterSymbols is the per-symbol partition phase. Column-tag keys span
+// only sentinel+1 values, so instead of the paper's general LSD radix
+// sort (permutation passes + payload gathers) a single-pass counting
+// scatter moves every payload straight to its final position — no
+// permutation buffer, one data-movement pass.
+func (p *pipeline) scatterSymbols() {
 	d, n := p.Device, len(p.input)
 	numKeys := int(p.sentinel) + 1
 	kept := p.keptSyms
@@ -286,7 +304,6 @@ func (p *pipeline) partitionScatter() error {
 	}
 	p.hist, p.colStart = radix.CountingScatterArena(d, p.Arena, "partition", p.tags.colTags, numKeys, int(p.sentinel), pay)
 	p.tags = nil // tag buffers are dead after the scatter
-	return nil
 }
 
 // convertColumns is the convert phase (§3.3): per-column CSS index

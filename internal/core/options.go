@@ -4,14 +4,23 @@
 //	          emitting the record/field/control bitmap indexes
 //	scan      the record/column offset scans (plus, on the multi-DFA
 //	          path, the composite scan over the state-transition vectors)
-//	tag       writing per-symbol column tags plus, depending on the
-//	          tagging mode, record tags, inline terminators, or the
-//	          delimiter vector
-//	partition stable radix scatter of the symbols into per-column
-//	          concatenated symbol strings
+//	tag       assigning every data run its output column plus, depending
+//	          on the tagging mode, its record tag; in the inline and
+//	          delimited modes a delimiter joins the run it closes
+//	partition stable scatter of the runs into per-column concatenated
+//	          symbol strings (the CSS)
 //	convert   CSS index construction and typed columnar materialisation
 //
 // These five phase names match the series of Figure 9 and Figure 11.
+//
+// The paper tags every symbol and radix-sorts the symbols by column
+// key, the shape a GPU sort needs. Inside a data run (the bytes between
+// two structural bytes) neither the column nor the record can change,
+// so on a CPU the tag phase records one descriptor per run and the
+// partition phase moves each run with one copy (runs.go). Modelled-time
+// devices, and Options.PerSymbolTags for parity tests, keep the
+// per-symbol tags and the counting scatter (tag.go). Both lay out the
+// same CSS.
 //
 // Chunk start states come from one of two context passes. The paper's
 // multi-DFA pass (§3.1) simulates one DFA instance per possible start
@@ -147,6 +156,12 @@ type Options struct {
 	// context-strategy reference path of the parity suites and
 	// fuzzers. Output is identical either way.
 	MultiDFA bool
+	// PerSymbolTags forces the paper's per-symbol tag and partition
+	// phases (a column tag and record tag per symbol, then a counting
+	// scatter by key) on a device that does not model time, where the
+	// data-run path would be taken — the tag-path reference of the
+	// parity suites and fuzzers. Output is identical either way.
+	PerSymbolTags bool
 	// ConvertWorkers is the number of concurrent column workers of the
 	// convert phase (§3.3): index construction, type inference, and
 	// materialisation of distinct columns run on a pool of this many
@@ -266,9 +281,8 @@ type Stats struct {
 	// BytesSkipped is the number of input symbols excluded from the
 	// partition and convert stages: structural bytes (delimiters,
 	// quotes), the data of unselected columns, and the data of rows
-	// pruned by Where or SkipRecords. These symbols are histogrammed but
-	// never moved — the projection/predicate pushdown's saving in device
-	// traffic.
+	// pruned by Where or SkipRecords. These symbols are never moved —
+	// the projection/predicate pushdown's saving in device traffic.
 	BytesSkipped int64
 	// BadRecords is the number of rejected records reported to
 	// Exec.OnBadRecord (0 when no callback was installed).

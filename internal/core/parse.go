@@ -61,6 +61,7 @@ type pipeline struct {
 	onBadRecord func(BadRecord)
 
 	multiDFA   bool // context pass: multi-DFA (parseVectors, scanStates) or chunkStates
+	perSymbol  bool // tag/partition: per-symbol tags and counting scatter, or data runs
 	chunks     int
 	vectors    []statevec.Vector // parseVectors → scanStates
 	startState []uint8
@@ -88,7 +89,8 @@ type pipeline struct {
 	dropped    []bool  // per input record: failed the Where conjunction
 	dropRank   []int64 // exclusive prefix count of dropped records (pushdown only)
 
-	tags     *tagBuffers
+	tags     *tagBuffers // per-symbol path
+	runTags  *runTags    // run path
 	rejected []bool
 	keptSyms int // symbols with a non-sentinel column tag (set by tagSymbols)
 

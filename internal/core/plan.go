@@ -218,6 +218,7 @@ func (p *Plan) Execute(input []byte, exec Exec) (*Result, error) {
 		o.ConvertWorkers = exec.ConvertWorkers
 	}
 	multiDFA := o.MultiDFA || o.Device.ModelledTime()
+	perSymbol := o.PerSymbolTags || o.Device.ModelledTime()
 
 	start := time.Now()
 	before := o.Device.Timers().Snapshot()
@@ -264,6 +265,7 @@ func (p *Plan) Execute(input []byte, exec Exec) (*Result, error) {
 	pl := &pipeline{
 		Options:     o,
 		multiDFA:    multiDFA,
+		perSymbol:   perSymbol,
 		input:       body,
 		headerNames: header,
 		ctx:         exec.Ctx,

@@ -34,11 +34,11 @@ type tagBuffers struct {
 	aux     []bool   // VectorDelimited only: delimiter marks
 }
 
-// tagSymbols is the tag phase (§3.2 bottom of Figure 4, §4.1): every
-// symbol is tagged with the output column it belongs to; data symbols of
-// kept columns carry their record tag (or the mode-specific delimiter
-// encoding); everything else gets the sentinel key and is dropped after
-// partitioning. The returned reject vector flags records whose column
+// tagSymbols is the per-symbol tag phase (§3.2 bottom of Figure 4,
+// §4.1), the reference for tagRuns: every symbol is tagged with the
+// output column it belongs to; data symbols of kept columns carry their
+// record tag (or the mode-specific delimiter encoding); everything else
+// gets the sentinel key and is dropped after partitioning. The returned reject vector flags records whose column
 // count deviates from the expected count (when RejectInconsistent).
 func (p *pipeline) tagSymbols() []bool {
 	n := len(p.input)
@@ -62,22 +62,10 @@ func (p *pipeline) tagSymbols() []bool {
 	}
 	p.tags = t
 
-	// The reject vector escapes into the output table, so it must come
-	// from the Go heap, not the recycled device arena.
-	var rejected []bool
-	if p.RejectInconsistent || p.RejectMalformed {
-		rejected = make([]bool, p.numOutRecords)
-	}
+	rejected := p.newRejected()
 	inconsistent := p.RejectInconsistent
 	skip := p.SkipRecords
-	// Under predicate pushdown, records dropped by Where tag exactly like
-	// skipped records (all their symbols get the sentinel key) and the
-	// kept records renumber densely via the drop-rank prefix. On the
-	// post-hoc path dropped stays nil: rows prune from the table instead.
-	dropped := p.dropped
-	if !p.pushdown {
-		dropped = nil
-	}
+	dropped := p.pushdownDropped()
 	// Per-chunk sentinel-symbol counts: summed below into keptSyms, the
 	// partition stage's output size (sentinel symbols are histogrammed but
 	// never moved).
@@ -193,19 +181,47 @@ func (p *pipeline) tagSymbols() []bool {
 	}
 	p.keptSyms = n - int(sentTotal)
 
-	// The trailing record has no closing delimiter, so its column count
-	// is checked against the final column-offset state here. A skipped or
-	// pushdown-dropped trailing record is absent from the output and
-	// checks nothing.
-	if inconsistent && p.trailing {
-		lastOut := p.numOutRecords - 1
-		lastSkipped := len(skip) > 0 && skip[len(skip)-1] == p.numRecords-1
-		lastDropped := dropped != nil && dropped[p.numRecords-1]
-		if !lastSkipped && !lastDropped && p.colTotal.Value+1 != p.numColumns {
-			rejected[lastOut] = true
-		}
-	}
+	p.rejectTrailing(rejected)
 	return rejected
+}
+
+// newRejected returns the reject vector, or nil when nothing can be
+// rejected. It escapes into the output table, so it comes from the Go
+// heap, not the recycled device arena.
+func (p *pipeline) newRejected() []bool {
+	if p.RejectInconsistent || p.RejectMalformed {
+		return make([]bool, p.numOutRecords)
+	}
+	return nil
+}
+
+// pushdownDropped returns the per-record Where verdicts when the rows
+// are pruned before partitioning, else nil. Records dropped by Where tag
+// exactly like skipped records (their symbols get the sentinel key) and
+// the kept records renumber densely via the drop-rank prefix. On the
+// post-hoc path rows prune from the materialised table instead.
+func (p *pipeline) pushdownDropped() []bool {
+	if !p.pushdown {
+		return nil
+	}
+	return p.dropped
+}
+
+// rejectTrailing checks the trailing record's column count under
+// RejectInconsistent. That record has no closing delimiter, so the
+// check runs against the final column-offset state. A skipped or
+// pushdown-dropped trailing record is absent from the output and checks
+// nothing.
+func (p *pipeline) rejectTrailing(rejected []bool) {
+	if !p.RejectInconsistent || !p.trailing {
+		return
+	}
+	skip, dropped := p.SkipRecords, p.pushdownDropped()
+	lastSkipped := len(skip) > 0 && skip[len(skip)-1] == p.numRecords-1
+	lastDropped := dropped != nil && dropped[p.numRecords-1]
+	if !lastSkipped && !lastDropped && p.colTotal.Value+1 != p.numColumns {
+		rejected[p.numOutRecords-1] = true
+	}
 }
 
 // tagDelimiter assigns a field/record delimiter to the column of the

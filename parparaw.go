@@ -180,6 +180,10 @@ type referencePaths struct {
 	// and composite scan even where the sequential context pass would
 	// be taken.
 	multiDFA bool
+	// perSymbolTags tags every symbol and counting-sorts the symbols by
+	// column key (the paper's tag and partition phases) instead of
+	// tagging and moving whole data runs.
+	perSymbolTags bool
 }
 
 // Encoding identifies the input's symbol encoding (§4.2).
@@ -348,6 +352,7 @@ func (o Options) internal(trailing core.TrailingMode) (core.Options, error) {
 		NoSkipAhead:        o.reference.noSkipAhead,
 		NoSWARConvert:      o.reference.noSWARConvert,
 		MultiDFA:           o.reference.multiDFA,
+		PerSymbolTags:      o.reference.perSymbolTags,
 		ConvertWorkers:     o.ConvertWorkers,
 		InFlight:           o.InFlight,
 	}
