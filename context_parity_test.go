@@ -1,11 +1,11 @@
 package parparaw
 
-// Context-path parity: the sequential context pass and the paper's
-// multi-DFA pass must resolve the same chunk start states, so every
-// output is byte-identical whichever path an execution takes. The
-// production path takes the sequential pass; reference.multiDFA forces
-// the multi-DFA pass. Run with -race: the streaming legs drive the
-// ring.
+// Context-path parity: the sequential walk and the paper's multi-DFA
+// parse (context pass, bitmap emission, offset scans) must yield the
+// same bitmaps and offsets, so every output is byte-identical whichever
+// path an execution takes. The production path takes the walk;
+// reference.multiDFA forces the multi-DFA parse. Run with -race: the
+// streaming legs drive the ring.
 
 import (
 	"bytes"

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"sync/atomic"
 
@@ -204,7 +205,7 @@ func (e *Engine) ParseReader(r io.Reader) (*Result, error) {
 // StreamReaderContext for the streaming cancellation contract).
 func (e *Engine) ParseReaderContext(ctx context.Context, r io.Reader) (*Result, error) {
 	threshold := ReaderStreamThreshold
-	head, err := io.ReadAll(io.LimitReader(r, int64(threshold)+1))
+	head, err := readHead(r, threshold+1)
 	if err != nil {
 		return nil, fmt.Errorf("parparaw: reading input: %w",
 			&parparawerr.InputError{Offset: int64(len(head)), Partition: parparawerr.NoPartition, Attempts: 1, Err: err})
@@ -228,6 +229,53 @@ func (e *Engine) ParseReaderContext(ctx context.Context, r io.Reader) (*Result, 
 		return nil, err
 	}
 	return streamedResult(sres)
+}
+
+// readHead reads up to limit bytes of r. When r reports its size — a
+// regular *os.File, or a reader with a Len() int method such as
+// *bytes.Reader — the head is read into one buffer of the size it
+// needs, at most limit; otherwise it is read with io.ReadAll.
+func readHead(r io.Reader, limit int) ([]byte, error) {
+	size, ok := readerSize(r)
+	if !ok {
+		return io.ReadAll(io.LimitReader(r, int64(limit)))
+	}
+	// One spare byte lets a reader that keeps its reported size reach
+	// EOF without growing the buffer.
+	head := make([]byte, 0, min(size, limit-1)+1)
+	for len(head) < limit {
+		if len(head) == cap(head) {
+			head = append(head, 0)[:len(head)] // r outgrew its reported size
+		}
+		n, err := r.Read(head[len(head):min(cap(head), limit)])
+		head = head[:len(head)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return head, err
+		}
+	}
+	return head, nil
+}
+
+// readerSize returns the bytes left in r when r reports them.
+func readerSize(r io.Reader) (int, bool) {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return r.Len(), true
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return 0, false
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil || off > fi.Size() {
+			return 0, false
+		}
+		return int(fi.Size() - off), true
+	}
+	return 0, false
 }
 
 // StreamConfig holds the per-run knobs of an Engine streaming call: the

@@ -139,8 +139,8 @@ func FuzzParse(f *testing.F) {
 	// Numeric/temporal shapes with the SWAR convert paths toggled off
 	// (bit 4), so the round trip crosses the scalar and SWAR parsers.
 	f.Add([]byte("1.5,2018-06-15 13:45:09.5,142.35\n-7,.5,-73.987654\n"), uint8(31), uint8(4), uint8(0))
-	// Quoted runs across chunk boundaries with the multi-DFA context
-	// pass (bit 3), so both context paths meet the oracle.
+	// Quoted runs across chunk boundaries with the multi-DFA parse
+	// (bit 3), so both parse paths meet the oracle.
 	f.Add([]byte("\"a long quoted, run\nspanning chunks\",x\ny,\"\"\"q\"\n"), uint8(5), uint8(8), uint8(1))
 	// Quoted, empty and one-byte fields with the per-symbol tag and
 	// partition path (bit 5), so both tag paths meet the oracle.
@@ -149,7 +149,7 @@ func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input []byte, chunkRaw, fastRaw, workersRaw uint8) {
 		chunk := int(chunkRaw%64) + 1
 		// fastRaw toggles the fused-table, skip-ahead, and SWAR-convert
-		// fast paths, the multi-DFA context pass and the per-symbol tag
+		// fast paths, the multi-DFA parse and the per-symbol tag
 		// path, and workersRaw sweeps the convert pool, so the
 		// sequential oracle below catches any divergence between the
 		// fast and reference paths — chunk contexts, per-byte parsing,

@@ -10,12 +10,13 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkContextPass measures the two context passes alone, per
-// dialect, on 4 MiB inputs and a device of GOMAXPROCS workers: the
-// multi-DFA pass (parseVectors + scanStates) and the sequential pass
-// (chunkStates). Their rate ratios keep the multi-DFA pass off the
-// production path (see the package doc). Run single-core, then with
-// the host's cores so the multi-DFA pass spreads over them:
+// BenchmarkContextPass measures the two parse paths up to the offsets,
+// per dialect, on 4 MiB inputs and a device of GOMAXPROCS workers: the
+// multi-DFA context pass, bitmap emission and offset scans
+// (parseVectors + scanStates + emitBitmaps + offsetScans) against the
+// sequential walk (emitWalk). Their rate ratios keep the multi-DFA
+// path off the production path (see the package doc). Run single-core,
+// then with the host's cores so the multi-DFA path spreads over them:
 //
 //	go test -run '^$' -bench BenchmarkContextPass -cpu 1,2 ./internal/core
 func BenchmarkContextPass(b *testing.B) {
@@ -46,12 +47,8 @@ func BenchmarkContextPass(b *testing.B) {
 				b.SetBytes(int64(len(tc.input)))
 				for i := 0; i < b.N; i++ {
 					o.Arena.Reset()
-					p := &pipeline{Options: o, input: tc.input}
-					if multiDFA {
-						_ = p.parseVectors()
-						_ = p.scanStates()
-					} else {
-						_ = p.chunkStates()
+					if _, err := parseToOffsets(o, tc.input, multiDFA); err != nil {
+						b.Fatal(err)
 					}
 				}
 			})

@@ -36,22 +36,24 @@ type kernelStage struct {
 	run  func(p *pipeline) error
 }
 
-// The pipelines are the stage sequence of §3: a context pass resolving
-// every chunk's start state, the bitmap-emitting parse kernel with the
-// offset scans, then tagging, partitioning and conversion. The two
-// differ only in the context pass (see the package doc). A stage may
-// finish the run early by setting p.table (empty outputs).
+// The pipelines are the stage sequence of §3: parsing into the
+// record/field/control bitmaps with each chunk's record and column
+// offsets, then tagging, partitioning and conversion. The sequential
+// pipeline parses with one walk (emitWalk, walk.go); the multi-DFA
+// pipeline runs the paper's context pass, bitmap-emitting parse kernel
+// and offset scans (see the package doc). A stage may finish the run
+// early by setting p.table (empty outputs).
 var (
 	sequentialPipeline = append([]kernelStage{
-		{"chunkStates", (*pipeline).chunkStates},
+		{"emitWalk", (*pipeline).emitWalk},
 	}, kernelTail...)
 	multiDFAPipeline = append([]kernelStage{
 		{"parseVectors", (*pipeline).parseVectors},
 		{"scanStates", (*pipeline).scanStates},
-	}, kernelTail...)
-	kernelTail = []kernelStage{
 		{"emitBitmaps", (*pipeline).emitBitmapsStage},
 		{"offsetScans", (*pipeline).offsetScans},
+	}, kernelTail...)
+	kernelTail = []kernelStage{
 		{"filterRows", (*pipeline).filterRows},
 		{"tagSymbols", (*pipeline).tagSymbolsStage},
 		{"partitionScatter", (*pipeline).partitionScatter},
@@ -61,7 +63,7 @@ var (
 
 // KernelStageNames lists the explicit kernel stages in execution order —
 // the keys of the arena's per-stage footprint accounting — for the
-// multi-DFA or the sequential context path.
+// multi-DFA or the sequential parse path.
 func KernelStageNames(multiDFA bool) []string {
 	stages := pipelineStages(multiDFA)
 	names := make([]string, len(stages))
@@ -107,20 +109,6 @@ func (p *pipeline) initChunks() {
 	p.stats.InputBytes = int64(n)
 	p.chunks = (n + p.ChunkSize - 1) / p.ChunkSize
 	p.stats.Chunks = p.chunks
-}
-
-// chunkStates is the sequential context pass: one skip-ahead DFA walk
-// over the whole input records every chunk's start state and the end
-// state (dfa.Machine.ChunkStartStates). It replaces parseVectors and
-// scanStates on every device that does not model time, and is charged
-// to the "parse" phase.
-func (p *pipeline) chunkStates() error {
-	p.initChunks()
-	p.startState = device.Alloc[uint8](p.Arena, p.chunks)
-	p.Device.Launch("parse", 1, func(int) {
-		p.endState = p.Machine.ChunkStartStates(p.input, p.ChunkSize, p.startState)
-	})
-	return p.checkEndState()
 }
 
 // parseVectors is the first parse kernel (§3.1, Figure 3): one simulated
@@ -180,10 +168,11 @@ func (p *pipeline) checkEndState() error {
 	return nil
 }
 
-// emitBitmapsStage is the second parse kernel (§3.1-3.2): each chunk,
-// now knowing its start state, simulates a single DFA instance and
-// emits the record/field/control bitmap indexes plus per-chunk offset
-// metadata. In remainder mode it also locates the carry-over boundary.
+// emitBitmapsStage is the multi-DFA path's second parse kernel
+// (§3.1-3.2): each chunk, now knowing its start state, simulates a
+// single DFA instance and emits the record/field/control bitmap indexes
+// plus per-chunk offset metadata. In remainder mode it also locates the
+// carry-over boundary.
 func (p *pipeline) emitBitmapsStage() error {
 	p.emitBitmaps()
 	if p.Trailing == TrailingRemainder {
@@ -197,9 +186,10 @@ func (p *pipeline) emitBitmapsStage() error {
 	return nil
 }
 
-// offsetScans runs the record and column offset scans (§3.2, Figure 4),
-// resolves the column count and selection, and finishes early with an
-// empty table when there is nothing to partition.
+// offsetScans runs the record and column offset scans (§3.2, Figure 4)
+// over the per-chunk metadata, resolves each chunk's leading record's
+// column count with the column offsets, and hands the totals to
+// resolveOffsets.
 func (p *pipeline) offsetScans() error {
 	d := p.Device
 	recCounts := device.Alloc[int64](p.Arena, p.chunks)
@@ -213,11 +203,26 @@ func (p *pipeline) offsetScans() error {
 	p.colBase = device.Alloc[offsets.ColumnOffset](p.Arena, p.chunks)
 	p.colTotal = offsets.ExclusiveColumnScanArena(d, p.Arena, "scan", colOffs, p.colBase)
 
-	p.numRecords = totalRecs
+	var mm offsets.MinMax
+	for c, cm := range p.meta {
+		if cm.sawRec {
+			mm.Observe(p.colBase[c].Value + cm.relFirst + 1)
+		}
+		mm.Merge(cm.mm)
+	}
+	return p.resolveOffsets(totalRecs, mm)
+}
+
+// resolveOffsets takes the parse's record-delimiter count and the
+// column counts of its delimited records, resolves the record count,
+// the column count and selection, and finishes early with an empty
+// table when there is nothing to partition.
+func (p *pipeline) resolveOffsets(records int64, mm offsets.MinMax) error {
+	p.numRecords = records
 	if p.trailing {
 		p.numRecords++
 	}
-	if err := p.resolveColumns(); err != nil {
+	if err := p.resolveColumns(mm); err != nil {
 		return err
 	}
 	if err := p.resolveSelection(); err != nil {
@@ -497,7 +502,8 @@ func (p *pipeline) convertColumnsParallel(workers int, outFields []columnar.Fiel
 	return nil
 }
 
-// emitBitmaps is the body of the second parse kernel: each chunk
+// emitBitmaps is the body of the multi-DFA path's second parse kernel
+// (the sequential walk, walk.go, does its job in one pass): each chunk
 // simulates a single DFA instance from its known start state and records
 // every symbol's interpretation in the three bitmap indexes. Per-chunk
 // record counts and rel/abs column offsets (§3.2) are collected in the

@@ -1,9 +1,10 @@
 // Package core orchestrates ParPaRaw's full parsing pipeline (§3):
 //
-//	parse     each chunk's start state, then a single DFA pass per chunk
-//	          emitting the record/field/control bitmap indexes
-//	scan      the record/column offset scans (plus, on the multi-DFA
-//	          path, the composite scan over the state-transition vectors)
+//	parse     the record/field/control bitmap indexes plus every chunk's
+//	          record and column offsets
+//	scan      the multi-DFA path's scans: the composite scan over the
+//	          state-transition vectors and the record/column offset
+//	          scans (nothing runs here on the sequential walk)
 //	tag       assigning every data run its output column plus, depending
 //	          on the tagging mode, its record tag; in the inline and
 //	          delimited modes a delimiter joins the run it closes
@@ -22,18 +23,21 @@
 // per-symbol tags and the counting scatter (tag.go). Both lay out the
 // same CSS.
 //
-// Chunk start states come from one of two context passes. The paper's
-// multi-DFA pass (§3.1) simulates one DFA instance per possible start
-// state per chunk and composes the state-transition vectors with a
-// scan: |S| times the work of one walk, bought back by thousands of
-// GPU cores. On a CPU one sequential walk with skip-ahead (the Instant
-// Loading safe mode) does the same job 1.0-6.2 times faster than the
-// multi-DFA pass on one core, and 1.7-5.9 times faster than it spread
-// over two (BenchmarkContextPass, BENCH_13.json). The streaming routes
-// get their parallelism from partitions in flight instead, so
-// Plan.Execute always takes the sequential pass. Modelled-time devices (the paper's
-// figures) run the multi-DFA pass, and Options.MultiDFA forces it for
-// parity tests. Both paths yield the same start states.
+// The bitmaps and offsets come from one of two parse paths. The paper
+// parses in three steps so that thousands of GPU threads never wait on
+// a sequential pass: a multi-DFA context pass (§3.1) that simulates one
+// DFA instance per possible start state per chunk and composes the
+// state-transition vectors with a scan, a per-chunk bitmap-emitting DFA
+// pass, and the record/column offset scans (Figure 4). On a CPU one
+// sequential skip-ahead walk from the start state (the Instant Loading
+// safe mode) does all three jobs at once (emitWalk, walk.go), 2.5-5.7
+// times faster than the three steps on one core and 2.0-6.4 times
+// faster than them spread over two (BenchmarkContextPass,
+// BENCH_15.json). The streaming routes get their parallelism from
+// partitions in flight instead, so Plan.Execute always takes the walk.
+// Modelled-time devices (the paper's figures) run the three steps, and
+// Options.MultiDFA forces them for parity tests. Both paths yield the
+// same bitmaps and offsets.
 package core
 
 import (
@@ -150,11 +154,11 @@ type Options struct {
 	// way: the fast paths are bit-exact substitutes for the scalar
 	// parsers.
 	NoSWARConvert bool
-	// MultiDFA forces the paper's multi-DFA context inference
-	// (parseVectors + scanStates) on a device that does not model time,
-	// where the sequential context pass would be taken — the
-	// context-strategy reference path of the parity suites and
-	// fuzzers. Output is identical either way.
+	// MultiDFA forces the paper's multi-DFA parse (parseVectors +
+	// scanStates + emitBitmaps + offsetScans) on a device that does not
+	// model time, where the sequential walk would be taken — the
+	// parse-path reference of the parity suites and fuzzers. Output is
+	// identical either way.
 	MultiDFA bool
 	// PerSymbolTags forces the paper's per-symbol tag and partition
 	// phases (a column tag and record tag per symbol, then a counting

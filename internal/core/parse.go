@@ -60,17 +60,17 @@ type pipeline struct {
 	baseOffset  int64
 	onBadRecord func(BadRecord)
 
-	multiDFA   bool // context pass: multi-DFA (parseVectors, scanStates) or chunkStates
+	multiDFA   bool // parse: multi-DFA (parseVectors … offsetScans) or emitWalk
 	perSymbol  bool // tag/partition: per-symbol tags and counting scatter, or data runs
 	chunks     int
 	vectors    []statevec.Vector // parseVectors → scanStates
-	startState []uint8
+	startState []uint8           // multi-DFA only: scanStates → emitBitmaps
 	endState   uint8
 	trailing   bool
 	remainder  int
 
 	bitmaps *bitmaps
-	meta    []chunkMeta
+	meta    []chunkMeta // multi-DFA only: emitBitmaps → offsetScans
 
 	recBase  []int64
 	colBase  []offsets.ColumnOffset
@@ -114,16 +114,9 @@ func (p *pipeline) chunkBounds(c int) (lo, hi int) {
 }
 
 // resolveColumns determines the input's column count and the observed
-// min/max (§4.3): per-chunk relative min/max resolved with the column
-// offsets, plus the trailing record.
-func (p *pipeline) resolveColumns() error {
-	var mm offsets.MinMax
-	for c, cm := range p.meta {
-		if cm.sawRec {
-			mm.Observe(p.colBase[c].Value + cm.relFirst + 1)
-		}
-		mm.Merge(cm.mm)
-	}
+// min/max (§4.3): mm holds the column counts of the delimited records,
+// to which the trailing record is added.
+func (p *pipeline) resolveColumns(mm offsets.MinMax) error {
 	if p.trailing {
 		mm.Observe(p.colTotal.Value + 1)
 	}

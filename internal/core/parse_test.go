@@ -7,11 +7,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitmap"
 	"repro/internal/columnar"
 	"repro/internal/convert"
 	"repro/internal/css"
 	"repro/internal/device"
 	"repro/internal/dfa"
+	"repro/internal/offsets"
 )
 
 func testOpts() Options {
@@ -648,9 +650,12 @@ func TestParseTrailingRemainderInlineMode(t *testing.T) {
 
 // TestArenaPhaseAccounting checks that every explicit kernel stage
 // draws device memory through the run's arena and appears in the
-// per-stage high-water accounting, on both context paths: the
-// sequential pass (the default) and the multi-DFA pass (forced by
-// MultiDFA). Stages of the path not taken must stay empty.
+// per-stage high-water accounting, on both parse paths: the sequential
+// walk (the default) and the multi-DFA pipeline (forced by MultiDFA).
+// Stages of the path not taken must stay empty. The walk must allocate
+// exactly the bitmaps, the per-chunk offsets and the column map — no
+// per-chunk metadata and no scan temporaries — and launch nothing in
+// the scan phase.
 func TestArenaPhaseAccounting(t *testing.T) {
 	for _, multiDFA := range []bool{false, true} {
 		arena := device.NewArena()
@@ -677,8 +682,25 @@ func TestArenaPhaseAccounting(t *testing.T) {
 		}
 		for _, stage := range KernelStageNames(!multiDFA) {
 			if !taken[stage] && arena.PhasePeak(stage) != 0 {
-				t.Errorf("multiDFA=%v: stage %q of the other context path ran", multiDFA, stage)
+				t.Errorf("multiDFA=%v: stage %q of the other parse path ran", multiDFA, stage)
 			}
+		}
+		if multiDFA {
+			continue
+		}
+		want := device.NewArena()
+		for range 3 {
+			device.Alloc[uint64](want, bitmap.WordsFor(len(input)))
+		}
+		device.Alloc[int64](want, res.Stats.Chunks)
+		device.Alloc[offsets.ColumnOffset](want, res.Stats.Chunks)
+		device.Alloc[int](want, res.Stats.Columns)
+		device.Alloc[uint32](want, res.Stats.Columns)
+		if got := arena.PhasePeak("emitWalk"); got != want.PeakBytes() {
+			t.Errorf("emitWalk peaks at %d B, want %d B (bitmaps, offsets, column map)", got, want.PeakBytes())
+		}
+		if d := res.Stats.Phases["scan"]; d != 0 {
+			t.Errorf("sequential path spent %v in the scan phase", d)
 		}
 	}
 }

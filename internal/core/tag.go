@@ -17,7 +17,8 @@ type bitmaps struct {
 	control *bitmap.Bitmap // symbol is not part of any field value
 }
 
-// chunkMeta is the per-chunk metadata collected by the emission pass.
+// chunkMeta is the per-chunk metadata collected by the multi-DFA
+// path's emission pass (emitBitmaps) for the offset scans.
 type chunkMeta struct {
 	recCount int64                // record delimiters in the chunk
 	colOff   offsets.ColumnOffset // rel/abs column offset handed to the successor

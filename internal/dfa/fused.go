@@ -233,44 +233,6 @@ func (m *Machine) RecordRemainderFrom(s State, input []byte) (int, State) {
 	return n - last - 1, s
 }
 
-// ChunkStartStates is the sequential context pass: one walk of input
-// from the start state that records, for every chunkSize-byte chunk c,
-// the state in force before byte c*chunkSize into states[c], and
-// returns the end state. It yields exactly what the multi-DFA pass
-// (ChunkVectorInto per chunk, then the composite exclusive scan)
-// resolves, at the cost of one walk instead of |S| speculative ones —
-// the Instant Loading safe-mode trade (Mühlbauer et al., PVLDB 2013)
-// that wins on hosts too narrow to amortise the speculation. Like
-// RecordRemainder it always takes the fused tables and skip scanners: a
-// skipped run only self-loops, so every chunk start inside it shares
-// the run's state. states must hold ceil(len(input)/chunkSize) entries.
-func (m *Machine) ChunkStartStates(input []byte, chunkSize int, states []uint8) State {
-	ns := m.numStates
-	s := m.start
-	i, n := 0, len(input)
-	c, bound := 0, 0 // next chunk to record and its first byte
-	for i < n {
-		if sc := m.skip[s]; sc != nil {
-			j := sc.Next(input, i, n)
-			for ; bound <= j && bound < n; bound += chunkSize {
-				states[c] = uint8(s)
-				c++
-			}
-			if i = j; i >= n {
-				break
-			}
-		}
-		if i == bound {
-			states[c] = uint8(s)
-			c++
-			bound += chunkSize
-		}
-		s = State(m.fused[int(input[i])*ns+int(s)] & 0xFF)
-		i++
-	}
-	return s
-}
-
 // runFused is the sequential single-instance simulation over the fused
 // tables with skip-ahead.
 func (m *Machine) runFused(s State, input []byte) State {

@@ -2,7 +2,6 @@ package dfa
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/statevec"
@@ -240,51 +239,6 @@ func TestChunkVectorIntoFusedParity(t *testing.T) {
 		split.ChunkVectorInto(want, in[lo:hi])
 		if !got.Equal(want) {
 			t.Fatalf("chunk [%d,%d): fused %v vs split %v", lo, hi, got, want)
-		}
-	}
-}
-
-// TestChunkStartStatesMatchesMultiDFA checks the sequential context
-// pass against the paper's multi-DFA resolution: per-chunk transition
-// vectors (split tables, no skip-ahead) composed sequentially from the
-// start state. Long quoted and bracketed runs put chunk boundaries
-// inside skip-ahead runs, where the walk fills several chunk starts
-// from one scanner jump.
-func TestChunkStartStatesMatchesMultiDFA(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	inputs := fusedTestInputs(rng)
-	run := strings.Repeat("lorem ipsum dolor ", 12)
-	inputs = append(inputs,
-		[]byte(`"`+run+`",x`+"\n"+`y,"`+run+`"`+"\n"),
-		[]byte(run+","+run+"\n"+run),
-		[]byte(`{"k":"`+run+`","n":[1,2,{"a":"`+run+`"}]}`+"\n"),
-		[]byte(run+"\\\t"+run+"\t"+run+"\n"),
-		[]byte(`1.2.3.4 - "`+run+`" 200`+"\n"),
-	)
-	for name, m := range fusedTestMachines() {
-		ref := m.SetFastPath(false, false)
-		v := make(statevec.Vector, m.NumStates())
-		for _, in := range inputs {
-			for _, cs := range []int{1, 31, 64} {
-				chunks := (len(in) + cs - 1) / cs
-				got := make([]uint8, chunks)
-				end := m.ChunkStartStates(in, cs, got)
-				s := m.Start()
-				for c := 0; c < chunks; c++ {
-					if got[c] != uint8(s) {
-						t.Fatalf("%s chunk size %d: chunk %d starts in %d, multi-DFA says %d (input %q)",
-							name, cs, c, got[c], s, in)
-					}
-					ref.ChunkVectorInto(v, in[c*cs:min(c*cs+cs, len(in))])
-					s = State(v[s])
-				}
-				if end != s {
-					t.Fatalf("%s chunk size %d: end state %d, multi-DFA says %d (input %q)", name, cs, end, s, in)
-				}
-				if _, rend := m.RecordRemainder(in); rend != end {
-					t.Fatalf("%s: RecordRemainder ends in %d, context pass in %d (input %q)", name, rend, end, in)
-				}
-			}
 		}
 	}
 }

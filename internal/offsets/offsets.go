@@ -96,15 +96,6 @@ func ExclusiveRecordScan(d *device.Device, phase string, counts, dst []int64) in
 type MinMax struct {
 	Valid    bool
 	Min, Max int
-	// RelFirst is the chunk's "relative min/max": the number of field
-	// delimiters seen before the chunk's first record delimiter. It is
-	// resolved into an absolute column count after the column-offset
-	// scan.
-	RelFirst int
-	// HasLeading reports whether RelFirst terminated at a record
-	// delimiter inside this chunk (i.e. the chunk completed its leading
-	// record). When false the chunk contains no record delimiter at all.
-	HasLeading bool
 }
 
 // Observe folds a completed record's column count into the running

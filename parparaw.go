@@ -176,9 +176,9 @@ type referencePaths struct {
 	// noPushdown applies Scan.Where to the materialised table instead
 	// of pruning rows before the partition and convert stages.
 	noPushdown bool
-	// multiDFA infers chunk contexts with the paper's multi-DFA pass
-	// and composite scan even where the sequential context pass would
-	// be taken.
+	// multiDFA parses with the paper's multi-DFA context pass,
+	// per-chunk bitmap emission and offset scans even where the
+	// sequential walk would be taken.
 	multiDFA bool
 	// perSymbolTags tags every symbol and counting-sorts the symbols by
 	// column key (the paper's tag and partition phases) instead of

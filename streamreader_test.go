@@ -10,6 +10,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -433,4 +436,76 @@ func TestParseReaderInfersOverWholeInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertTablesIdentical(t, "ParseReader", got.Table, want.Table)
+}
+
+// TestParseReaderReadsHeadOnce: ParseReader sizes its head buffer from
+// the reader when the reader reports its size, so a 1 KiB reader never
+// costs a threshold-sized buffer, and a regular file just above the
+// threshold — read from its start or from an offset — takes the
+// streamed route and parses byte-identically to Parse.
+func TestParseReaderReadsHeadOnce(t *testing.T) {
+	small := workload.Taxi().Generate(1<<10, 4)
+	readers := map[string]func() io.Reader{
+		"bytes":   func() io.Reader { return bytes.NewReader(small) },
+		"strings": func() io.Reader { return strings.NewReader(string(small)) },
+		"unsized": func() io.Reader { return io.MultiReader(bytes.NewReader(small)) },
+	}
+	for name, r := range readers {
+		head, err := readHead(r(), ReaderStreamThreshold+1)
+		if err != nil || !bytes.Equal(head, small) {
+			t.Fatalf("%s: readHead = %d bytes, %v; want the %d input bytes", name, len(head), err, len(small))
+		}
+		if name != "unsized" && cap(head) != len(small)+1 {
+			t.Errorf("%s: head capacity %d for a %d-byte reader", name, cap(head), len(small))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ParseReader(r(), Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(ReaderStreamThreshold) {
+			t.Errorf("%s: ParseReader of %d bytes allocated %d bytes", name, len(small), alloc)
+		}
+	}
+
+	defer func(old int) { ReaderStreamThreshold = old }(ReaderStreamThreshold)
+	ReaderStreamThreshold = 64 << 10
+	input := workload.Taxi().Generate(ReaderStreamThreshold+2<<10, 4)
+	path := filepath.Join(t.TempDir(), "taxi.csv")
+	if err := os.WriteFile(path, input, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.IndexByte(input, '\n') + 1
+	for _, off := range []int{0, first} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		head, err := readHead(f, ReaderStreamThreshold+1)
+		if err != nil || len(head) != cap(head) || cap(head) != ReaderStreamThreshold+1 {
+			t.Fatalf("offset %d: readHead = len %d cap %d, %v; want one %d-byte buffer",
+				off, len(head), cap(head), err, ReaderStreamThreshold+1)
+		}
+		if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseReader(f, Options{})
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Parse(input[off:], Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("file from offset %d", off)
+		if got.Stats.Phases != nil {
+			t.Errorf("%s: %d bytes took the one-shot route", label, len(input)-off)
+		}
+		assertTablesIdentical(t, label, got.Table, want.Table)
+	}
 }
