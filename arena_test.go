@@ -167,35 +167,51 @@ func TestParseSteadyStateArenaFixed(t *testing.T) {
 	}
 }
 
+// coreParser parses each partition with core.Parse on the arena the
+// scheduler hands it; it never pre-scans a boundary.
+type coreParser struct {
+	afterFirst int64 // the arena's reserved bytes after the first parse
+	parsed     bool
+}
+
+func (p *coreParser) Boundary([]byte) (int, bool)       { return 0, false }
+func (p *coreParser) Idle([]byte, int, int) (int, bool) { return 0, false }
+
+func (p *coreParser) ParseInFlight(arena *device.Arena, part stream.Partition) (stream.PartitionResult, error) {
+	trailing := core.TrailingRemainder
+	if part.Final {
+		trailing = core.TrailingRecord
+	}
+	res, err := core.Parse(part.Input, core.Options{Arena: arena, Trailing: trailing})
+	if err != nil {
+		return stream.PartitionResult{}, err
+	}
+	if !p.parsed {
+		p.afterFirst, p.parsed = arena.ReservedBytes(), true
+	}
+	return stream.PartitionResult{Table: res.Table, CompleteBytes: len(part.Input) - res.Remainder}, nil
+}
+
+// oneArena is an ArenaPool that always hands out the same arena.
+type oneArena struct{ *device.Arena }
+
+func (p oneArena) Get() *device.Arena { return p.Arena }
+func (oneArena) Put(*device.Arena)    {}
+
 // TestStreamSteadyStateNoLargeAllocs drives the real streaming pipeline
-// (internal/stream.Run with a shared arena, exactly as the public
-// Stream does) over many partitions and checks that no partition after
-// the first acquires a large (>= 1 MiB) device buffer: the §4.4
-// fixed-footprint property.
+// (internal/stream.Run at depth 1, whose one arena is reset between
+// partitions, as the public Stream does at InFlight 1) over many
+// partitions and checks that no partition after the first acquires a
+// large (>= 1 MiB) device buffer: the §4.4 fixed-footprint property.
 func TestStreamSteadyStateNoLargeAllocs(t *testing.T) {
 	input := bytes.Repeat([]byte("123,abcdefgh,4.5,true\n"), 400_000) // ~8.8 MB -> 8 partitions
 	arena := device.NewArena()
-	var afterFirst int64
-	first := true
-	parser := stream.ParserFunc(func(part stream.Partition) (stream.PartitionResult, error) {
-		trailing := core.TrailingRemainder
-		if part.Final {
-			trailing = core.TrailingRecord
-		}
-		res, err := core.Parse(part.Input, core.Options{Arena: arena, Trailing: trailing})
-		if err != nil {
-			return stream.PartitionResult{}, err
-		}
-		if first {
-			afterFirst = arena.ReservedBytes()
-			first = false
-		}
-		return stream.PartitionResult{Table: res.Table, CompleteBytes: len(part.Input) - res.Remainder}, nil
-	})
-	res, err := stream.Run(stream.Config{PartitionSize: 1 << 20, Arena: arena}, parser, stream.BytesSource(input))
+	parser := &coreParser{}
+	res, err := stream.Run(stream.Config{PartitionSize: 1 << 20, InFlight: 1, Arenas: oneArena{arena}}, parser, stream.BytesSource(input))
 	if err != nil {
 		t.Fatal(err)
 	}
+	afterFirst := parser.afterFirst
 	if res.Stats.Partitions < 4 {
 		t.Fatalf("partitions = %d, want several", res.Stats.Partitions)
 	}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	parparawd [-addr :8080] [-cache 64] [-budget 256MB]
-//	          [-partition-size 4MB] [-retry 3] [-retry-after 1s]
+//	          [-partition-size 1MB] [-retry 3] [-retry-after 1s]
 //
 // Endpoints:
 //
@@ -50,7 +50,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cache := flag.Int("cache", parparaw.DefaultCacheEngines, "plan-cache capacity in compiled engines")
 	budget := flag.String("budget", "0", "device-bytes admission budget (e.g. 256MB; 0 = unlimited)")
-	partition := flag.String("partition-size", "4MB", "streaming partition size")
+	partition := flag.String("partition-size", "", "streaming partition size (default parparaw.DefaultPartitionSize, 1MB)")
 	retry := flag.Int("retry", 0, "retry transient body-read failures up to N attempts per position (0 disables)")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 	flag.Parse()
@@ -70,9 +70,12 @@ func run(addr string, cache int, budgetSpec, partitionSpec string, retry int, re
 		}
 		budget = int64(n)
 	}
-	partitionSize, err := parparaw.ParseSizeSpec(partitionSpec)
-	if err != nil {
-		return err
+	partitionSize := parparaw.DefaultPartitionSize
+	if partitionSpec != "" {
+		var err error
+		if partitionSize, err = parparaw.ParseSizeSpec(partitionSpec); err != nil {
+			return err
+		}
 	}
 
 	server := parparaw.NewServer(parparaw.ServerConfig{

@@ -49,7 +49,7 @@ func contextParityFormat(t *testing.T, name string) *Format {
 }
 
 // TestContextPathParity compares the two context paths on every dialect
-// preset, on Parse and on the serial and ring streaming pipelines:
+// preset, on Parse and on streams at depth 1 and deeper:
 // identical tables, chunk counts and invalid-input flags, and under
 // Validate identical failures.
 func TestContextPathParity(t *testing.T) {

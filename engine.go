@@ -44,14 +44,14 @@ type Engine struct {
 	// that, within a run, cannot be recovered (the wrong carry is
 	// already committed downstream). Once it reaches
 	// boundaryMistrustLimit, the engine stops trusting the pre-scan:
-	// every later run's partitions take the serial carry path, trading
+	// every later run's partitions take the inline carry path, trading
 	// the ring's overlap for correctness — the degradation a long-lived
 	// service wants instead of failing every run the same way.
 	boundaryMistrust atomic.Int32
 }
 
 // boundaryMistrustLimit is the number of boundary-disagreement failures
-// after which an engine permanently falls back to serial carry.
+// after which an engine permanently falls back to inline carry.
 const boundaryMistrustLimit = 2
 
 // NewEngine compiles opts into a reusable Engine. Configuration errors
@@ -224,7 +224,7 @@ func (e *Engine) ParseReaderContext(ctx context.Context, r io.Reader) (*Result, 
 		}
 		return e.ParseContext(ctx, append(head, rest...))
 	}
-	sres, err := e.StreamReaderContext(ctx, io.MultiReader(bytes.NewReader(head), r), StreamConfig{})
+	sres, err := e.stream(ctx, head, r, StreamConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -279,8 +279,8 @@ func readerSize(r io.Reader) (int, bool) {
 }
 
 // StreamConfig holds the per-run knobs of an Engine streaming call: the
-// partition size (Figure 12's x-axis) and the cross-partition ring's
-// depth, ordering, and memory budget. Zero values select
+// partition size (Figure 12's x-axis) and the in-flight ring's depth,
+// ordering, and memory budget. Zero values select
 // DefaultPartitionSize and the engine's compiled Options.InFlight.
 type StreamConfig struct {
 	PartitionSize int
@@ -289,8 +289,8 @@ type StreamConfig struct {
 	// Deprecated: the pipeline has no interconnect; see Bus.
 	Bus *Bus
 	// InFlight overrides the engine's Options.InFlight for this run
-	// (0 keeps it): the number of partitions concurrently in flight in
-	// the cross-partition ring, 1 forcing the serial pipeline.
+	// (0 keeps it): the number of partitions concurrently in flight.
+	// At 1 every partition parses in turn, with no boundary pre-scan.
 	InFlight int
 	// Unordered emits each partition's table as soon as its parse
 	// completes instead of buffering for input order;
@@ -363,6 +363,13 @@ func (e *Engine) StreamReader(r io.Reader, cfg StreamConfig) (*StreamResult, err
 // inside the source's io.Reader: Go cannot cancel a Read in flight, so
 // a stalled reader delays (but never prevents) the shutdown.
 func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg StreamConfig) (*StreamResult, error) {
+	return e.stream(ctx, nil, r, cfg)
+}
+
+// stream is StreamReaderContext over head followed by r. A non-nil head
+// holds the input's first bytes, at least three of them unless the
+// input is shorter; the pipeline parses it in place, without a copy.
+func (e *Engine) stream(ctx context.Context, head []byte, r io.Reader, cfg StreamConfig) (*StreamResult, error) {
 	if !e.plan.BoundarySound() {
 		return nil, ErrUnstreamable
 	}
@@ -377,16 +384,19 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 		// mark; detect it here, strip it, and freeze the encoding —
 		// per-partition detection would mis-read every later partition
 		// as ASCII.
-		var head [3]byte
-		n, err := io.ReadFull(r, head[:])
-		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("parparaw: reading input: %w",
-				&parparawerr.InputError{Offset: int64(n), Partition: parparawerr.NoPartition, Attempts: 1, Err: err})
+		if head == nil {
+			var bom [3]byte
+			n, err := io.ReadFull(r, bom[:])
+			if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+				return nil, fmt.Errorf("parparaw: reading input: %w",
+					&parparawerr.InputError{Offset: int64(n), Partition: parparawerr.NoPartition, Attempts: 1, Err: err})
+			}
+			head = bom[:n]
 		}
-		enc, skip := transcode.DetectEncoding(head[:n])
+		enc, skip := transcode.DetectEncoding(head)
 		base.Encoding = enc
 		base.DetectEncoding = false
-		r = io.MultiReader(bytes.NewReader(head[skip:n]), r)
+		head = head[skip:]
 	}
 
 	opts := e.plan.Options()
@@ -394,9 +404,7 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 	if inFlight <= 0 {
 		inFlight = opts.InFlight
 	}
-	if inFlight > core.MaxInFlight {
-		inFlight = core.MaxInFlight
-	}
+	inFlight = min(max(inFlight, 1), core.MaxInFlight)
 
 	rp := &ringParser{
 		plan:        e.plan,
@@ -423,36 +431,23 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 			MaxDelay:    cfg.Retry.MaxDelay,
 			Retryable:   cfg.Retry.Retryable,
 		},
+		// One arena per in-flight partition, from the engine's pool.
+		Arenas: enginePool{e},
 	}
-	if inFlight > 1 {
-		// The ring draws one arena per in-flight partition from the
-		// engine's pool. Divide the plan's convert-worker budget across
-		// the ring so InFlight × per-partition workers stays at the
-		// host's parallelism instead of oversubscribing it.
-		scfg.Arenas = enginePool{e}
-		if cw := opts.ConvertWorkers / inFlight; cw < opts.ConvertWorkers {
-			if cw < 1 {
-				cw = 1
-			}
-			rp.convertWorkers = cw
-		}
-	} else {
-		// Serial pipeline: one arena for the whole run, reset between
-		// partitions, so consecutive partitions parse inside the same
-		// device allocations instead of growing the heap per partition.
-		arena := e.checkout()
-		defer e.release(arena)
-		rp.serial = arena
-		scfg.Arena = arena
+	// Divide the plan's convert-worker budget across the ring so
+	// InFlight × per-partition workers stays at the host's parallelism
+	// instead of oversubscribing it; depth 1 keeps the whole budget.
+	if cw := opts.ConvertWorkers / inFlight; cw < opts.ConvertWorkers {
+		rp.convertWorkers = max(cw, 1)
 	}
 
-	res, err := stream.Run(scfg, rp, stream.NewSource(r))
+	res, err := stream.Run(scfg, rp, stream.HeadSource(head, r))
 	if err != nil {
 		// A boundary pre-scan / parse disagreement is unrecoverable
 		// within the run (the wrong carry is already committed), but a
 		// long-lived engine learns from it: after boundaryMistrustLimit
 		// such failures, Boundary permanently declines and every later
-		// run takes the serial carry path.
+		// run takes the inline carry path.
 		var ie *parparawerr.InternalError
 		if errors.As(err, &ie) && ie.Stage == "boundary" {
 			e.boundaryMistrust.Add(1)
@@ -506,11 +501,10 @@ func (p enginePool) Get() *device.Arena  { return p.e.checkout() }
 func (p enginePool) Put(a *device.Arena) { p.e.release(a) }
 
 // ringParser adapts the engine's compiled plan to the streaming
-// pipeline's Parser and RingParser contracts. One value serves a whole
-// run: the serial pipeline calls ParsePartition on the run's single
-// recycled arena, the ring scheduler calls Boundary to finalise each
-// next partition's input and ParseInFlight to parse partitions
-// concurrently on their own arenas.
+// scheduler's RingParser contract. One value serves a whole run: the
+// scheduler calls Boundary to finalise each next partition's input and
+// ParseInFlight to parse partitions, concurrently on their own arenas
+// when the ring is deeper than one.
 type ringParser struct {
 	plan *core.Plan
 	base core.Exec
@@ -518,14 +512,11 @@ type ringParser struct {
 	// stage (Exec.ConvertWorkers) so the ring's aggregate worker count
 	// matches the plan's budget.
 	convertWorkers int
-	// serial is the serial pipeline's single recycled arena (nil under
-	// the ring).
-	serial *device.Arena
 	// ctx cancels partition parses between kernel stages.
 	ctx context.Context
 	// mistrust points at the engine's boundary-disagreement counter:
 	// at boundaryMistrustLimit the pre-scan is permanently distrusted
-	// and Boundary declines, forcing the serial carry path.
+	// and Boundary declines, forcing the inline carry path.
 	mistrust *atomic.Int32
 	// onBadRecord diverts rejected records (converted to the public
 	// BadRecord shape) to the caller's callback.
@@ -545,27 +536,16 @@ type ringParser struct {
 
 var _ stream.RingParser = (*ringParser)(nil)
 
-// ParsePartition is the serial pipeline's entry point.
-func (p *ringParser) ParsePartition(part stream.Partition) (stream.PartitionResult, error) {
-	return p.parse(p.serial, part)
-}
-
-// ParseInFlight parses one partition on its own arena, concurrently
-// with other partitions.
-func (p *ringParser) ParseInFlight(arena *device.Arena, part stream.Partition) (stream.PartitionResult, error) {
-	return p.parse(arena, part)
-}
-
 // Boundary pre-scans part's record boundary: a single sequential DFA
 // walk yielding exactly the carry-over a TrailingRemainder parse would
 // report, which is what lets the ring dispatch the partition without
-// waiting for that parse. It declines (serial fallback) while the
+// waiting for that parse. It declines (inline fallback) while the
 // first partition's header/skip trimming is unsettled — row pruning
 // splits raw lines without DFA context, so a whole-partition walk
 // could disagree — for UTF-16 input, whose remainder is defined on
 // the transcoded bytes and mapped back (Plan.Execute), not on a raw
 // walk — and permanently once the engine's boundary-disagreement
-// counter has hit its limit (the learned serial-carry degradation).
+// counter has hit its limit (the learned inline-carry degradation).
 func (p *ringParser) Boundary(part []byte) (int, bool) {
 	if p.first || !p.prescan() {
 		return 0, false
@@ -589,7 +569,9 @@ func (p *ringParser) prescan() bool {
 	return p.direct && (p.mistrust == nil || p.mistrust.Load() < boundaryMistrustLimit)
 }
 
-func (p *ringParser) parse(arena *device.Arena, part stream.Partition) (stream.PartitionResult, error) {
+// ParseInFlight parses one partition on its own arena, concurrently
+// with other partitions.
+func (p *ringParser) ParseInFlight(arena *device.Arena, part stream.Partition) (stream.PartitionResult, error) {
 	exec := p.base
 	exec.Arena = arena
 	exec.Trailing = core.TrailingRemainder

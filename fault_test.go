@@ -205,9 +205,10 @@ func TestFaultRingPanicTyped(t *testing.T) {
 // TestFaultRingPanicQuarantine: the same injected panic under
 // SkipBadPartitions must quarantine the one partition and finish the
 // stream. On the ring's pre-scanned path the surviving partitions are
-// byte-identical to the fault-free run's; the serial carry path drops
-// the pending carry with the partition (documented head-clipping), so
-// there the assertions are on counts, not bytes.
+// byte-identical to the fault-free run's; the inline carry path (every
+// partition at depth 1) drops the pending carry with the partition
+// (documented head-clipping), so there the assertions are on counts,
+// not bytes.
 func TestFaultRingPanicQuarantine(t *testing.T) {
 	input := chaosInput(3000)
 	base := testleak.Count()
@@ -337,22 +338,25 @@ func TestFaultBudgetPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Strict: the inflated estimate alone exceeds the budget -> typed failure.
-	_, err = eng.Stream(input, StreamConfig{
-		PartitionSize: 4 << 10,
-		InFlight:      4,
-		DeviceBudget:  1 << 20,
-		StrictBudget:  true,
-	})
-	if !errors.Is(err, parparawerr.ErrBudget) {
-		t.Fatalf("strict: err = %v, want ErrBudget", err)
-	}
-	var be *parparawerr.BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("strict: no *BudgetError in chain: %v", err)
-	}
-	if be.Estimate <= be.Budget {
-		t.Errorf("strict: Estimate %d <= Budget %d", be.Estimate, be.Budget)
+	// Strict: the inflated estimate alone exceeds the budget -> typed
+	// failure, at depth 1 as in a deeper ring.
+	for _, inFlight := range []int{1, 4} {
+		_, err = eng.Stream(input, StreamConfig{
+			PartitionSize: 4 << 10,
+			InFlight:      inFlight,
+			DeviceBudget:  1 << 20,
+			StrictBudget:  true,
+		})
+		if !errors.Is(err, parparawerr.ErrBudget) {
+			t.Fatalf("strict inflight=%d: err = %v, want ErrBudget", inFlight, err)
+		}
+		var be *parparawerr.BudgetError
+		if !errors.As(err, &be) {
+			t.Fatalf("strict inflight=%d: no *BudgetError in chain: %v", inFlight, err)
+		}
+		if be.Estimate <= be.Budget {
+			t.Errorf("strict inflight=%d: Estimate %d <= Budget %d", inFlight, be.Estimate, be.Budget)
+		}
 	}
 
 	// Lenient: throttled to one partition at a time, but complete and identical.

@@ -1,10 +1,11 @@
 package parparaw
 
-// In-flight ring parity: the cross-partition pipeline (Options.InFlight
-// > 1) must be invisible in the output. Every test here compares a ring
-// run against the serial streaming pipeline (InFlight=1) byte for byte —
+// In-flight ring parity: ring depth (Options.InFlight) must be invisible
+// in the output. Every test here compares a deeper ring, which
+// pre-scans boundaries and parses partitions concurrently, against
+// depth 1, which parses every partition inline, byte for byte —
 // ordered emit, the unordered permutation, the boundary pre-scan's
-// serial fallback (UTF-16, first-partition trimming), tiny partitions,
+// inline fallback (UTF-16, first-partition trimming), tiny partitions,
 // and engine-level concurrency stacked on the ring. Run with -race.
 
 import (
@@ -20,8 +21,8 @@ import (
 )
 
 // inFlightCounts mirrors convertWorkerCounts for the ring depth axis:
-// serial, the smallest real ring, whatever this host would default to,
-// and a deliberately odd depth.
+// depth 1, the smallest pre-scanning ring, whatever this host would
+// default to, and a deliberately odd depth.
 func inFlightCounts() []int {
 	return dedupWorkerCounts(1, 2, runtime.GOMAXPROCS(0), 7)
 }
@@ -42,7 +43,7 @@ func streamInFlight(t *testing.T, label string, input []byte, opts Options, part
 	return res
 }
 
-// assertStreamsIdentical compares a ring run against the serial
+// assertStreamsIdentical compares a ring run against the depth-1
 // reference: per-partition tables (so partition boundaries match, not
 // just the concatenation), header, and the carry statistics.
 func assertStreamsIdentical(t *testing.T, label string, got, want *StreamResult) {
@@ -74,8 +75,8 @@ func assertStreamsIdentical(t *testing.T, label string, got, want *StreamResult)
 
 // TestInFlightParityStreaming sweeps the ring depth over the taxi
 // workload with partitions small enough to exercise dozens of
-// carry-overs: the emitted tables must be byte-identical to the serial
-// pipeline's, partition for partition, in input order.
+// carry-overs: the emitted tables must be byte-identical to depth 1's,
+// partition for partition, in input order.
 func TestInFlightParityStreaming(t *testing.T) {
 	input := workload.Taxi().Generate(48<<10, 7)
 	schema := schemaFromInternal(workload.Taxi().Schema)
@@ -144,7 +145,7 @@ func TestInFlightParityHeaderTinyPartitions(t *testing.T) {
 // TestInFlightUTF16FallsBackSerial pins the documented limitation: the
 // boundary pre-scan runs on raw device bytes, so UTF-16 input (converted
 // before parsing) cannot be pre-scanned and every non-final partition
-// must take the serial carry path — correct output, fallbacks counted.
+// must take the inline carry path — correct output, fallbacks counted.
 func TestInFlightUTF16FallsBackSerial(t *testing.T) {
 	var text strings.Builder
 	for i := 0; i < 200; i++ {
@@ -260,5 +261,56 @@ func TestInFlightValidation(t *testing.T) {
 	clamped := streamInFlight(t, "clamped", input, Options{Schema: schema}, 1<<10, 10_000, false)
 	if clamped.Stats.InFlight != core.MaxInFlight {
 		t.Errorf("InFlight=10000 ran at depth %d, want clamp to %d", clamped.Stats.InFlight, core.MaxInFlight)
+	}
+}
+
+// TestStreamDepthOne pins the depth-1 schedule: every partition parses
+// inline on one recycled arena, with no boundary pre-scan, so it reports
+// no serial fallbacks — not even for a header whose trimming a deeper
+// ring could not pre-scan — and its tables combine to Parse's. The
+// partition, carry-over and device-byte figures are those the
+// partition-at-a-time pipeline reported for the same inputs before the
+// in-flight ring became the only scheduler.
+func TestStreamDepthOne(t *testing.T) {
+	taxi := workload.Taxi().Generate(256<<10, 3)
+	for _, tc := range []struct {
+		name                      string
+		input                     []byte
+		opts                      Options
+		part                      int
+		partitions, carry, device int
+	}{
+		{"taxi", taxi, Options{}, 4 << 10, 65, 76, 63145},
+		{"taxi-header", append([]byte("a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p,q\n"), taxi...), Options{HasHeader: true}, 1021, 282, 100, 16664},
+		{"yelp", workload.Yelp().Generate(256<<10, 5), Options{}, 8 << 10, 34, 700, 70497},
+	} {
+		e, err := NewEngine(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Stream(tc.input, StreamConfig{PartitionSize: tc.part, InFlight: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		s := res.Stats
+		if s.InFlight != 1 || s.SerialFallbacks != 0 {
+			t.Errorf("%s: depth %d with %d serial fallbacks, want depth 1 and none", tc.name, s.InFlight, s.SerialFallbacks)
+		}
+		if n := e.idleArenaCount(); n != 1 {
+			t.Errorf("%s: run drew %d arenas, want 1", tc.name, n)
+		}
+		if s.Partitions != tc.partitions || s.MaxCarryOver != tc.carry || s.DeviceBytes != int64(tc.device) {
+			t.Errorf("%s: partitions %d, max carry %d, device bytes %d; want %d, %d, %d",
+				tc.name, s.Partitions, s.MaxCarryOver, s.DeviceBytes, tc.partitions, tc.carry, tc.device)
+		}
+		got, err := res.Combined()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Parse(tc.input, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertTablesIdentical(t, tc.name, got, want.Table)
 	}
 }

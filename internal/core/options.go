@@ -180,8 +180,9 @@ type Options struct {
 	// ring keeps in flight at once (§4.4 extended across partitions):
 	// each in-flight partition runs the whole kernel pipeline on its own
 	// arena while the ring's emit stage releases tables in input order.
-	// 0 means a GOMAXPROCS-derived default (capped at MaxInFlight); 1 is
-	// the serial pipeline. Output is byte-identical at every setting.
+	// 0 means a GOMAXPROCS-derived default (capped at MaxInFlight); at 1
+	// every partition parses in turn, with no boundary pre-scan. Output
+	// is byte-identical at every setting.
 	InFlight int
 	// Trailing controls what happens to input after the last record
 	// delimiter. TrailingRecord (default) parses it as one final record;

@@ -160,7 +160,7 @@ func (p *Plan) BaseExec(arena *device.Arena) Exec {
 // pre-scan: partition i+1's input is finalised from this without
 // waiting for partition i's parse. It is exact for inputs the pipeline
 // parses directly (no pending header/skip trimming, no transcoding);
-// callers in those modes must fall back to the serial carry path.
+// callers in those modes must fall back to the inline carry path.
 func (p *Plan) ScanRemainder(input []byte) int {
 	rem, _ := p.opts.Machine.RecordRemainder(input)
 	return rem
@@ -190,7 +190,7 @@ func (p *Plan) ScanIdle(input []byte, from, state int) (end int, idle bool) {
 // return to the start state, so an input cut at a record boundary
 // parses from the start state exactly as it would mid-stream. This
 // covers both the ring's record-boundary pre-scan (ScanRemainder) and
-// the serial carry path — when it is false, no streaming mode is
+// the inline carry path — when it is false, no streaming mode is
 // correct and callers must parse the input whole. Every grammar the
 // dfa package ships satisfies it; only Builder-assembled machines can
 // fail it.

@@ -18,11 +18,6 @@ type slowRingParser struct {
 	delay time.Duration
 }
 
-func (p *slowRingParser) ParsePartition(part Partition) (PartitionResult, error) {
-	time.Sleep(p.delay)
-	return p.ringLineParser.ParsePartition(part)
-}
-
 func (p *slowRingParser) ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error) {
 	time.Sleep(p.delay)
 	return p.ringLineParser.ParseInFlight(arena, part)
@@ -56,9 +51,7 @@ func TestCancelMidStream(t *testing.T) {
 				PartitionSize: 64,
 				Ctx:           ctx,
 				InFlight:      inFlight,
-			}
-			if inFlight > 1 {
-				cfg.Arenas = pool
+				Arenas:        pool,
 			}
 			res, err := Run(cfg, &slowRingParser{newRingLineParser(), 100 * time.Microsecond}, BytesSource(input))
 			cancel()
@@ -95,10 +88,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	base := testleak.Count()
 	for _, inFlight := range []int{1, 4} {
 		pool := &testArenaPool{}
-		cfg := Config{PartitionSize: 64, Ctx: ctx, InFlight: inFlight}
-		if inFlight > 1 {
-			cfg.Arenas = pool
-		}
+		cfg := Config{PartitionSize: 64, Ctx: ctx, InFlight: inFlight, Arenas: pool}
 		_, err := Run(cfg, newRingLineParser(), BytesSource(input))
 		if !errors.Is(err, parparawerr.ErrCanceled) {
 			t.Fatalf("inflight=%d: err = %v, want ErrCanceled", inFlight, err)

@@ -1,12 +1,10 @@
-// ring.go is the cross-partition pipeline: where the serial scheduler
-// of stream.go overlaps only the read of the next chunks with the parse
-// of the current partition, the ring overlaps the partitions themselves —
-// up to Config.InFlight full kernel pipelines run concurrently, each on
-// its own arena, with an emit stage releasing tables in input order.
+// ring.go is the scheduler: up to Config.InFlight partitions run the
+// whole kernel pipeline concurrently, each on its own arena, with an
+// emit stage releasing tables in input order.
 //
-// The enabler is breaking the carry-over dependency: serially, partition
-// i+1's input cannot be assembled until partition i's parse reports how
-// many of its bytes belong to complete records. The ring instead runs a
+// The enabler is breaking the carry-over dependency: partition i+1's
+// input cannot be assembled until partition i's parse reports how many
+// of its bytes belong to complete records. A deeper ring instead runs a
 // record-boundary pre-scan (RingParser.Boundary — a sequential walk of
 // the parsing DFA over the partition) that yields the same carry length
 // at a fraction of the parse's cost, so the scheduler finalises
@@ -14,15 +12,17 @@
 // waiting. Whenever the boundary is not determinable without the full
 // parse (first-partition header/skip trimming still unsettled, input
 // needing transcoding before record boundaries exist), the partition
-// falls back to the serial carry path: it parses inline on the
-// scheduler, exactly as the serial pipeline would.
+// falls back to the inline carry path: it parses on the scheduler
+// itself. Depth 1 takes that path for every partition without
+// pre-scanning: with no second slot to dispatch into, the walk would
+// only lengthen the critical path.
 //
 // Memory stays bounded at ring depth × partition footprint: at most
 // InFlight partitions hold an arena at once (arenas recycle through a
 // free list as partitions retire), and an optional DeviceBudget gates
 // admission on the estimated in-flight device bytes.
 //
-// Failure containment (PR 8): worker panics are recovered into typed
+// Failure containment: worker panics are recovered into typed
 // parparawerr.InternalError values (safeParse), a canceled context
 // unblocks both the scheduler's slot wait and the budget's admission
 // wait, and every exit path still drains the results channel — so
@@ -34,6 +34,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -52,12 +53,8 @@ type parsedPart struct {
 	est   int64 // device-budget charge taken at dispatch
 	dur   time.Duration
 	err   error
-	// boundaryKnown marks partitions whose carry boundary was finalised
-	// by the pre-scan before the parse ran: their failure cannot corrupt
-	// the carry chain, so they are candidates for quarantine.
-	boundaryKnown bool
-	// skipped marks a partition already quarantined by the scheduler
-	// (inline serial-carry path); the emit stage only counts it.
+	// skipped marks a quarantined partition: its output is dropped and
+	// the emit stage only counts it.
 	skipped bool
 }
 
@@ -144,17 +141,33 @@ func (b *deviceBudget) refund(est, arenaPeak int64) {
 	b.mu.Unlock()
 }
 
-// runRing streams the source through the bounded in-flight partition
-// ring. Results are byte-identical to the serial pipeline: the carry
-// chain is the same (the pre-scan computes the very remainder the parse
-// would report, and dispatched parses are cross-checked against it),
-// every partition parses the same input bytes, and ordered emit
-// preserves input order.
-func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
+// Run streams the source through the bounded in-flight partition ring
+// and returns the per-partition tables in input order (unless
+// Config.Unordered). On failure the returned Result, when non-nil,
+// holds the tables emitted and the statistics accumulated before the
+// failure — partial progress a caller can still report.
+//
+// Results are identical at every depth: the carry chain is the same
+// (the pre-scan computes the very remainder the parse would report, and
+// dispatched parses are cross-checked against it), every partition
+// parses the same input bytes, and ordered emit preserves input order.
+// Each partition's input buffer holds PartitionSize bytes (carry-over
+// displaces fresh input), which keeps every buffer in the same arena
+// size class across partitions — the paper's allocate-once,
+// reuse-per-partition footprint. Only a carry-over of PartitionSize or
+// more (one record larger than a partition) grows it beyond that.
+func Run(cfg Config, parser RingParser, src *Source) (*Result, error) {
+	if cfg.PartitionSize <= 0 {
+		return nil, errors.New("stream: partition size must be positive")
+	}
+	if cfg.Arenas == nil {
+		return nil, errors.New("stream: no arena pool")
+	}
+	src.SetRetry(cfg.Retry)
 	ctx := cfg.ctx()
 	start := time.Now()
 
-	inFlight := cfg.InFlight
+	inFlight := max(cfg.InFlight, 1)
 	// slots bounds the partitions concurrently holding an arena; a slot
 	// is taken before a partition's input is assembled and released when
 	// its result reaches the emit stage.
@@ -172,7 +185,7 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 	// Cancellation watcher: a canceled context must unblock the
 	// scheduler wherever it waits — the slot select (quit) and the
 	// budget's admission wait (budget.cancel). The watcher itself is
-	// joined before runRing returns.
+	// joined before Run returns.
 	watchDone := make(chan struct{})
 	defer close(watchDone)
 	if ctx.Done() != nil {
@@ -195,18 +208,13 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 	// Emit stage: retires partitions as they arrive — recycling their
 	// arena and slot immediately, since tables live on the host heap —
 	// and releases tables in input order (or arrival order when
-	// Unordered, recording the permutation). Quarantine decisions for
-	// dispatched partitions are made here, where the typed error is
-	// first seen.
+	// Unordered, recording the permutation).
 	go func() {
 		var firstErr error
 		errIdx := -1
 		pending := make(map[int]parsedPart)
 		next := 0
 		emit := func(p parsedPart) {
-			if p.skipped {
-				return
-			}
 			if p.res.Table == nil {
 				return
 			}
@@ -229,26 +237,13 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 			}
 			stats.ParseBusy += p.dur
 			if p.err != nil {
-				if cfg.SkipBadPartitions && p.boundaryKnown && quarantinable(p.err) {
-					// The carry chain was finalised before this parse
-					// ran, so dropping the partition affects no
-					// neighbour; the skipped branch below counts it.
-					p.err = nil
-					p.res = PartitionResult{}
-					p.skipped = true
-				} else {
-					if firstErr == nil || p.idx < errIdx {
-						firstErr, errIdx = p.err, p.idx
-					}
-					stop()
-					continue
+				if firstErr == nil || p.idx < errIdx {
+					firstErr, errIdx = p.err, p.idx
 				}
+				stop()
+				continue
 			}
 			if p.skipped {
-				// Covers both quarantine paths: dispatched failures
-				// converted above, and inline serial-carry failures the
-				// scheduler already converted. Counting here keeps the
-				// counter single-writer.
 				stats.QuarantinedPartitions++
 			}
 			if p.res.Invalid {
@@ -279,11 +274,40 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 		done <- firstErr
 	}()
 
+	// parse runs one partition on its arena and packages the outcome for
+	// the emit stage. want is the complete-byte count the boundary
+	// pre-scan found, or -1 when only the parse determines it. A
+	// quarantinable failure under SkipBadPartitions comes back skipped.
+	parse := func(arena *device.Arena, part Partition, est int64, want int) parsedPart {
+		ps := time.Now()
+		res, err := safeParse(func() (PartitionResult, error) {
+			return parser.ParseInFlight(arena, part)
+		}, part.Index)
+		p := parsedPart{idx: part.Index, res: res, arena: arena, est: est, dur: time.Since(ps)}
+		switch {
+		case err != nil, part.Final:
+		case want >= 0 && res.CompleteBytes != want:
+			// The pre-scan and the parse must agree by construction; a
+			// mismatch means corrupt output, so fail loudly instead.
+			err = fmt.Errorf("boundary pre-scan found %d complete bytes, parse found %d: %w",
+				want, res.CompleteBytes, &parparawerr.InternalError{Partition: part.Index, Stage: "boundary"})
+		case res.CompleteBytes < 0 || res.CompleteBytes > len(part.Input):
+			err = fmt.Errorf("complete bytes %d outside [0,%d]: %w", res.CompleteBytes, len(part.Input),
+				&parparawerr.InternalError{Partition: part.Index, Stage: "ring"})
+		}
+		if err != nil && cfg.SkipBadPartitions && quarantinable(err) {
+			p.res, p.skipped = PartitionResult{}, true
+		} else if err != nil {
+			p.err = fmt.Errorf("stream: partition %d: %w", part.Index, err)
+		}
+		return p
+	}
+
 	// Scheduler: the single sequential spine. It reads each partition's
 	// fresh bytes, assembles carry + fresh in a per-partition arena
-	// buffer, pre-scans the record boundary to finalise the next
-	// partition's carry, and hands the parse to a worker — falling back
-	// to parsing inline when the boundary is ambiguous.
+	// buffer, and either pre-scans the record boundary to finalise the
+	// next partition's carry and hands the parse to a worker, or parses
+	// inline.
 	var wg sync.WaitGroup
 	go func() {
 		defer func() {
@@ -297,17 +321,26 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 		// walked bytes of an idle carry end the boundary walk in
 		// walkState (RingParser.Idle).
 		walked, walkState := 0, 0
+		// advance moves the carry chain past a partition whose first
+		// complete bytes of buf are consumed.
+		advance := func(buf []byte, complete int) {
+			carry = append(carry[:0], buf[complete:]...)
+			stats.MaxCarryOver = max(stats.MaxCarryOver, len(carry))
+			stalled = complete == 0
+			nextBase += int64(complete)
+		}
 		for i := 0; ; i++ {
 			canceled := func() bool {
+				if err := ctx.Err(); err != nil {
+					results <- parsedPart{idx: i, err: fmt.Errorf("stream: %w", parparawerr.Canceled(i, err))}
+					return true
+				}
 				select {
 				case <-quit:
+					return true
 				default:
 					return false
 				}
-				if err := ctx.Err(); err != nil {
-					results <- parsedPart{idx: i, err: fmt.Errorf("stream: %w", parparawerr.Canceled(i, err))}
-				}
-				return true
 			}
 			if canceled() {
 				return
@@ -371,126 +404,59 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 			buf = append(buf, carry...)
 			buf = append(buf, data...)
 			stats.Partitions++
-			base := nextBase
+			part := Partition{Index: i, Base: nextBase, Input: buf, Final: final}
 
-			dispatched := false
-			if !final {
+			want := -1
+			if !final && inFlight > 1 {
 				bb := time.Now()
 				rem, ok := parser.Boundary(buf)
 				stats.BoundaryBusy += time.Since(bb)
 				if ok && rem >= 0 && rem <= len(buf) {
-					// The next partition's input is now finalised without
-					// the parse: copy the carry tail out (buf is arena
-					// memory owned by the worker from here) and dispatch.
-					carry = append(carry[:0], buf[len(buf)-rem:]...)
-					if len(carry) > stats.MaxCarryOver {
-						stats.MaxCarryOver = len(carry)
-					}
-					wantComplete := len(buf) - rem
-					stalled = wantComplete == 0
-					nextBase = base + int64(wantComplete)
-					est, err := budget.charge(i, len(buf))
-					if err != nil {
-						results <- parsedPart{idx: i, arena: arena,
-							err: fmt.Errorf("stream: partition %d: %w", i, err)}
-						return
-					}
-					wg.Add(1)
-					go func(idx int, arena *device.Arena, part Partition, est, wantComplete int64) {
-						defer wg.Done()
-						ps := time.Now()
-						res, err := safeParse(func() (PartitionResult, error) {
-							return parser.ParseInFlight(arena, part)
-						}, idx)
-						dur := time.Since(ps)
-						if err == nil && int64(res.CompleteBytes) != wantComplete {
-							// The pre-scan and the parse must agree by
-							// construction; a mismatch means corrupt
-							// output, so fail loudly instead.
-							err = fmt.Errorf("boundary pre-scan found %d complete bytes, parse found %d: %w",
-								wantComplete, res.CompleteBytes,
-								&parparawerr.InternalError{Partition: idx, Stage: "boundary"})
-						}
-						if err != nil {
-							err = fmt.Errorf("stream: partition %d: %w", idx, err)
-						}
-						results <- parsedPart{idx: idx, res: res, arena: arena, est: est, dur: dur,
-							err: err, boundaryKnown: true}
-					}(i, arena, Partition{Index: i, Base: base, Input: buf}, est, int64(wantComplete))
-					dispatched = true
+					want = len(buf) - rem
 				} else {
 					stats.SerialFallbacks++
 				}
 			}
-			if !dispatched {
-				// Serial carry path: the boundary needs the full parse (or
-				// this is the final partition, which the ring still parses
-				// here when it could not be dispatched). Identical to the
-				// serial pipeline's stage 2.
-				est, err := budget.charge(i, len(buf))
-				if err != nil {
-					results <- parsedPart{idx: i, arena: arena,
-						err: fmt.Errorf("stream: partition %d: %w", i, err)}
-					return
-				}
-				if final {
-					wg.Add(1)
-					go func(idx int, arena *device.Arena, part Partition, est int64) {
-						defer wg.Done()
-						ps := time.Now()
-						res, err := safeParse(func() (PartitionResult, error) {
-							return parser.ParseInFlight(arena, part)
-						}, idx)
-						dur := time.Since(ps)
-						if err != nil {
-							err = fmt.Errorf("stream: partition %d: %w", idx, err)
-						}
-						// The final partition has no successor: its carry
-						// boundary is vacuously known, so it remains a
-						// quarantine candidate.
-						results <- parsedPart{idx: idx, res: res, arena: arena, est: est, dur: dur,
-							err: err, boundaryKnown: true}
-					}(i, arena, Partition{Index: i, Base: base, Input: buf, Final: true}, est)
-					return
-				}
-				ps := time.Now()
-				part := Partition{Index: i, Base: base, Input: buf}
-				res, err := safeParse(func() (PartitionResult, error) {
-					return parser.ParseInFlight(arena, part)
-				}, i)
-				dur := time.Since(ps)
-				if err == nil && (res.CompleteBytes < 0 || res.CompleteBytes > len(buf)) {
-					err = fmt.Errorf("complete bytes %d outside [0,%d]: %w", res.CompleteBytes, len(buf),
-						&parparawerr.InternalError{Partition: i, Stage: "ring"})
-				}
-				if err != nil {
-					if cfg.SkipBadPartitions && quarantinable(err) {
-						// Quarantine on the serial carry path: the
-						// partition's boundary was never determined, so
-						// the pending carry is dropped with it and the
-						// next partition starts fresh. The emit stage
-						// counts the skip.
-						nextBase = base + int64(len(buf))
-						carry = carry[:0]
-						stalled = false
-						results <- parsedPart{idx: i, arena: arena, est: est, dur: dur, skipped: true}
-						continue
-					}
-					results <- parsedPart{idx: i, res: res, arena: arena, est: est, dur: dur,
-						err: fmt.Errorf("stream: partition %d: %w", i, err)}
-					return
-				}
-				stalled = res.CompleteBytes == 0
-				nextBase = base + int64(res.CompleteBytes)
-				carry = append(carry[:0], buf[res.CompleteBytes:]...)
-				if len(carry) > stats.MaxCarryOver {
-					stats.MaxCarryOver = len(carry)
-				}
-				results <- parsedPart{idx: i, res: res, arena: arena, est: est, dur: dur}
-			}
-			if final {
+			est, err := budget.charge(i, len(buf))
+			if err != nil {
+				results <- parsedPart{idx: i, arena: arena, err: fmt.Errorf("stream: partition %d: %w", i, err)}
 				return
 			}
+			if want >= 0 || final {
+				// The next partition's input is final without the parse
+				// (or there is none): copy the carry tail out (buf is
+				// arena memory owned by the worker from here) and
+				// dispatch. The final partition goes to a worker too, so
+				// the scheduler's buffers are garbage while it parses.
+				if !final {
+					advance(buf, want)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					results <- parse(arena, part, est, want)
+				}()
+				if final {
+					return
+				}
+				continue
+			}
+			// Inline carry path: the boundary needs the full parse, or the
+			// ring is one deep.
+			p := parse(arena, part, est, -1)
+			if p.err != nil {
+				results <- p
+				return
+			}
+			complete := p.res.CompleteBytes
+			if p.skipped {
+				// The partition's boundary was never determined, so the
+				// pending carry is dropped with it and the next partition
+				// starts fresh.
+				complete = len(buf)
+			}
+			advance(buf, complete)
+			results <- p
 		}
 	}()
 
@@ -501,9 +467,5 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 	}
 	stats.Duration = time.Since(start)
 	stats.Retries, stats.RetriedBytes = src.RetryStats()
-	res := &Result{Tables: tables, Order: order, Stats: stats}
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	return &Result{Tables: tables, Order: order, Stats: stats}, err
 }

@@ -15,17 +15,19 @@ import (
 // testArenaPool is a plain ArenaPool over fresh arenas, tracking
 // balance so tests can assert every arena is returned.
 type testArenaPool struct {
-	mu   sync.Mutex
-	got  int
-	put  int
-	fail bool
+	mu     sync.Mutex
+	got    int
+	put    int
+	arenas []*device.Arena // every arena handed out
 }
 
 func (p *testArenaPool) Get() *device.Arena {
+	a := device.NewArena()
 	p.mu.Lock()
 	p.got++
+	p.arenas = append(p.arenas, a)
 	p.mu.Unlock()
-	return device.NewArena()
+	return a
 }
 
 func (p *testArenaPool) Put(a *device.Arena) {
@@ -34,18 +36,22 @@ func (p *testArenaPool) Put(a *device.Arena) {
 	p.mu.Unlock()
 }
 
-// ringLineParser is the ring-capable toy parser: '\n'-terminated
-// records, one string column, with a boundary pre-scan that mirrors the
-// parse's complete-prefix rule. ambiguous forces the serial fallback;
-// failAt injects an error on a chosen partition index.
+// ringLineParser is the toy line parser: '\n'-terminated records, one
+// string column, with a boundary pre-scan that mirrors the parse's
+// complete-prefix rule. ambiguous forces the inline carry path; failAt
+// injects errInjected on a chosen parse.
 type ringLineParser struct {
 	ambiguous bool
 	failAt    int // -1 disables
 
-	mu     sync.Mutex
-	parses int
-	walked int // bytes the boundary pre-scans walked
+	mu         sync.Mutex
+	parses     int
+	walked     int      // bytes the boundary pre-scans walked
+	boundaries int      // Boundary calls
+	partitions [][]byte // parse inputs (with carry), in parse order
 }
+
+var errInjected = errors.New("injected parse failure")
 
 func newRingLineParser() *ringLineParser { return &ringLineParser{failAt: -1} }
 
@@ -53,9 +59,10 @@ func (p *ringLineParser) parse(input []byte, final bool) (PartitionResult, error
 	p.mu.Lock()
 	n := p.parses
 	p.parses++
+	p.partitions = append(p.partitions, append([]byte(nil), input...))
 	p.mu.Unlock()
 	if p.failAt >= 0 && n == p.failAt {
-		return PartitionResult{}, errors.New("injected parse failure")
+		return PartitionResult{}, errInjected
 	}
 	complete := bytes.LastIndexByte(input, '\n') + 1
 	if final {
@@ -76,10 +83,6 @@ func (p *ringLineParser) parse(input []byte, final bool) (PartitionResult, error
 	return PartitionResult{Table: tbl, CompleteBytes: complete}, nil
 }
 
-func (p *ringLineParser) ParsePartition(part Partition) (PartitionResult, error) {
-	return p.parse(part.Input, part.Final)
-}
-
 func (p *ringLineParser) ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error) {
 	// Touch the arena so the footprint stats have something to sum.
 	_ = device.Alloc[byte](arena, len(part.Input))
@@ -87,6 +90,9 @@ func (p *ringLineParser) ParseInFlight(arena *device.Arena, part Partition) (Par
 }
 
 func (p *ringLineParser) Boundary(input []byte) (int, bool) {
+	p.mu.Lock()
+	p.boundaries++
+	p.mu.Unlock()
 	if p.ambiguous {
 		return 0, false
 	}
@@ -130,14 +136,30 @@ func collectLines(tables []*columnar.Table) []string {
 }
 
 // TestRingMatchesSerialOrdered runs the ring at several depths and
-// partition sizes against the serial pipeline: identical records in
-// identical order, identical partition/carry statistics.
+// partition sizes against depth 1, the inline serial schedule:
+// identical records in identical order, identical partition/carry
+// statistics.
 func TestRingMatchesSerialOrdered(t *testing.T) {
 	input, want := ringTestInput(200)
 	for _, partSize := range []int{7, 16, 64, 100, len(input), len(input) * 2} {
-		serial, err := Run(Config{PartitionSize: partSize}, newRingLineParser(), BytesSource(input))
+		serialPool, serialParser := &testArenaPool{}, newRingLineParser()
+		serial, err := Run(Config{PartitionSize: partSize, Arenas: serialPool}, serialParser, BytesSource(input))
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Depth 1 never pre-scans and recycles one arena for the run.
+		if serialParser.boundaries != 0 || serial.Stats.SerialFallbacks != 0 {
+			t.Errorf("part=%d depth 1: %d Boundary calls, %d serial fallbacks, want 0 and 0",
+				partSize, serialParser.boundaries, serial.Stats.SerialFallbacks)
+		}
+		if serialPool.got != 1 || serialPool.put != 1 {
+			t.Fatalf("part=%d depth 1: %d arenas drawn, %d returned, want 1 and 1", partSize, serialPool.got, serialPool.put)
+		}
+		if peak := serialPool.arenas[0].PeakBytes(); serial.Stats.DeviceBytes != peak || peak == 0 {
+			t.Errorf("part=%d depth 1: DeviceBytes = %d, arena peak = %d", partSize, serial.Stats.DeviceBytes, peak)
+		}
+		if got := collectLines(serial.Tables); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("part=%d depth 1: records differ", partSize)
 		}
 		for _, inFlight := range []int{2, 3, 7} {
 			pool := &testArenaPool{}
@@ -228,7 +250,7 @@ func TestRingUnorderedIsPermutation(t *testing.T) {
 }
 
 // TestRingSerialFallback forces every boundary ambiguous: the ring must
-// degrade to the serial carry path — same records, fallbacks counted.
+// degrade to the inline carry path — same records, fallbacks counted.
 func TestRingSerialFallback(t *testing.T) {
 	input, want := ringTestInput(100)
 	p := newRingLineParser()
@@ -326,10 +348,6 @@ func TestRingBoundaryParseDisagreement(t *testing.T) {
 
 type lyingBoundaryParser struct{ inner *ringLineParser }
 
-func (p *lyingBoundaryParser) ParsePartition(part Partition) (PartitionResult, error) {
-	return p.inner.ParsePartition(part)
-}
-
 func (p *lyingBoundaryParser) ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error) {
 	return p.inner.ParseInFlight(arena, part)
 }
@@ -343,7 +361,7 @@ func (p *lyingBoundaryParser) Idle(input []byte, from, state int) (int, bool) {
 	return p.inner.Idle(input, from, state)
 }
 
-// TestRingEmptyInput mirrors the serial degenerate case: one empty
+// TestRingEmptyInput mirrors TestRunEmptyInput at depth 4: one empty
 // final partition.
 func TestRingEmptyInput(t *testing.T) {
 	res, err := Run(Config{
@@ -360,7 +378,7 @@ func TestRingEmptyInput(t *testing.T) {
 }
 
 // TestGiantRecordWalkedOnce streams a record 128 partitions long
-// through the serial pipeline and the ring. Partitions inside the
+// through the ring at depths 1 and 2. Partitions inside the
 // record are carried whole without a parse, and the boundary walk
 // resumes over each partition's fresh bytes instead of re-walking the
 // growing carry, so the pre-scans walk each byte about twice in all

@@ -73,6 +73,14 @@ type Source struct {
 	r      io.Reader
 	peek   [1]byte
 	peeked bool
+	// head holds the stream's first bytes, not yet delivered, ahead of
+	// r. Fill lends whole chunks of it without copying and never writes
+	// into it; lent reports that the previous Fill returned such a
+	// chunk, which the caller passes back as its next dst. Fill drops
+	// head once it is consumed, so the caller's buffer can be collected
+	// before the stream ends.
+	head []byte
+	lent bool
 
 	retry RetryPolicy
 	// pending is an error returned by a Read alongside data: the data
@@ -82,13 +90,20 @@ type Source struct {
 	// read returns it (a broken source does not heal mid-stream).
 	failed error
 
-	off          int64 // bytes successfully read from r
+	off          int64 // stream bytes read so far: all of head, then r's
 	retries      int64 // failed read attempts that were retried
 	retriedBytes int64 // bytes recovered by reads after >= 1 retry
 }
 
 // NewSource wraps an io.Reader.
 func NewSource(r io.Reader) *Source { return &Source{r: r} }
+
+// HeadSource is NewSource over head followed by r, for a caller that
+// already read the stream's first bytes: chunks that lie within head
+// are slices of it, not copies.
+func HeadSource(head []byte, r io.Reader) *Source {
+	return &Source{r: r, head: head, off: int64(len(head))}
+}
 
 // BytesSource adapts an in-memory input. It exists for callers (and
 // tests) that already hold the whole input; the pipeline still consumes
@@ -99,8 +114,8 @@ func BytesSource(input []byte) *Source { return NewSource(bytes.NewReader(input)
 // Fill.
 func (s *Source) SetRetry(p RetryPolicy) { s.retry = p }
 
-// Consumed returns the number of bytes successfully read from the
-// underlying reader so far.
+// Consumed returns the number of stream bytes successfully read so far,
+// counting a HeadSource's head as read.
 func (s *Source) Consumed() int64 { return s.off }
 
 // RetryStats returns the retried-attempt count and the bytes recovered
@@ -172,14 +187,28 @@ const minChunkAlloc = 64 << 10
 // Fill reads from the source until size bytes are buffered or the input
 // ends. dst is the recycled backing buffer from a previous Fill (nil on
 // first use); the filled bytes are returned as a slice of it, or of a
-// geometrically grown replacement the caller should retain for reuse.
-// The second result reports whether the source is now exhausted; it is
-// exact: when the chunk fills completely, Fill peeks one byte ahead
-// (stashing it for the next call) so the pipeline knows immediately
-// whether the chunk it just read is the input's last — the final
-// partition must be parsed in trailing-record mode rather than
+// geometrically grown replacement the caller should retain for reuse,
+// or — while size bytes remain in a HeadSource's head — of the head
+// itself. The second result reports whether the source is now
+// exhausted; it is exact: when the chunk fills completely, Fill peeks
+// one byte ahead (stashing it for the next call) so the pipeline knows
+// immediately whether the chunk it just read is the input's last — the
+// final partition must be parsed in trailing-record mode rather than
 // carry-over mode, and that decision cannot wait for a later read.
 func (s *Source) Fill(dst []byte, size int) (data []byte, last bool, err error) {
+	if s.lent {
+		dst, s.lent = nil, false // dst is part of the head: never write into it
+	}
+	if len(s.head) >= size {
+		data, s.head = s.head[:size:size], s.head[size:]
+		s.lent = true
+		if len(s.head) > 0 {
+			return data, false, nil
+		}
+		s.head = nil
+		last, err := s.atEnd()
+		return data, last, err
+	}
 	if cap(dst) > size {
 		dst = dst[:size]
 	} else {
@@ -202,6 +231,14 @@ func (s *Source) Fill(dst []byte, size int) (data []byte, last bool, err error) 
 			copy(next, dst[:n])
 			dst = next
 		}
+		if len(s.head) > 0 {
+			m := copy(dst[n:], s.head)
+			n += m
+			if s.head = s.head[m:]; len(s.head) == 0 {
+				s.head = nil
+			}
+			continue
+		}
 		if s.peeked {
 			dst[n] = s.peek[0]
 			s.peeked = false
@@ -217,17 +254,20 @@ func (s *Source) Fill(dst []byte, size int) (data []byte, last bool, err error) 
 			return dst[:n], false, err
 		}
 	}
-	for {
-		m, err := s.read(s.peek[:])
-		if m > 0 {
-			s.peeked = true
-			return dst[:n], false, nil
-		}
-		if err == io.EOF {
-			return dst[:n], true, nil
-		}
-		if err != nil {
-			return dst[:n], false, err
-		}
+	last, err = s.atEnd()
+	return dst[:n], last, err
+}
+
+// atEnd peeks one byte ahead, stashing it for the next Fill, and reports
+// whether the source is exhausted.
+func (s *Source) atEnd() (bool, error) {
+	m, err := s.read(s.peek[:])
+	if m > 0 {
+		s.peeked = true
+		return false, nil
 	}
+	if err == io.EOF {
+		return true, nil
+	}
+	return false, err
 }

@@ -1,26 +1,30 @@
 // Package stream implements the end-to-end streaming extension of §4.4 /
 // Figure 7: raw input is pulled from a Source in fixed-size chunks and
-// parsed partition by partition, with the read of the next chunks
-// overlapping the parse of the current partition. A double buffer
-// bounds host memory: chunk i is read into host buffer i%2, and the
-// read of chunk i+2 must wait until the parse that consumed chunk i has
-// released its buffer (including the carry-over copy, the "copy c/o"
-// dependency in Figure 7). Peak host buffering is therefore
-// O(PartitionSize + carry-over), independent of the input's total size —
-// the property that lets the system ingest inputs larger than memory.
-// The paper's device additionally pays a PCIe transfer per partition in
-// each direction; this pipeline runs on the host and has no
-// interconnect, so the transfers exist only in the analytical schedule
-// of Simulate (the Figure 12/13 experiments).
+// parsed partition by partition. Run is the one scheduler. Its
+// sequential spine reads each partition's fresh bytes, assembles the
+// carry-over followed by the fresh input in an arena buffer (the
+// figure's "copy c/o" step), and either parses it inline or hands it to
+// a worker; at most Config.InFlight partitions hold an arena at once,
+// and an emit stage releases their tables in input order. At depth 1
+// every partition parses inline on the spine: the paper's
+// partition-at-a-time schedule on one recycled arena. Deeper rings
+// pre-scan each partition's record boundary so the next partition's
+// input is final before the parse runs (ring.go). Peak host buffering
+// is therefore O(InFlight × (PartitionSize + carry-over)), independent
+// of the input's total size — the property that lets the system ingest
+// inputs larger than memory. The paper's device additionally pays a
+// PCIe transfer per partition in each direction; this pipeline runs on
+// the host and has no interconnect, so the transfers exist only in the
+// analytical schedule of Simulate (the Figure 12/13 experiments).
 //
 // The carry-over handles records straddling partition boundaries: the
 // parse of partition i reports how many of its bytes belong to complete
 // records; the incomplete tail is prepended to partition i+1's input.
 //
-// Failure model (PR 8): every failure class surfaces as a typed
-// parparawerr error — reader failures (after the Source's RetryPolicy is
-// exhausted) as ErrInput with the exact byte offset, validation failures
-// as ErrMalformed, context cancellation as ErrCanceled, contained worker
+// Failure model: every failure class surfaces as a typed parparawerr
+// error — reader failures (after the Source's RetryPolicy is exhausted)
+// as ErrInput with the exact byte offset, validation failures as
+// ErrMalformed, context cancellation as ErrCanceled, contained worker
 // panics and pipeline invariant violations as ErrInternal, and strict
 // budget denials as ErrBudget. Every exit path joins the pipeline's
 // goroutines and returns every arena; on failure Run additionally
@@ -107,19 +111,6 @@ type PartitionResult struct {
 	Chunks int
 }
 
-// Parser parses one partition on the device.
-type Parser interface {
-	ParsePartition(part Partition) (PartitionResult, error)
-}
-
-// ParserFunc adapts a function to the Parser interface.
-type ParserFunc func(part Partition) (PartitionResult, error)
-
-// ParsePartition calls f.
-func (f ParserFunc) ParsePartition(part Partition) (PartitionResult, error) {
-	return f(part)
-}
-
 // Config describes the streaming pipeline.
 type Config struct {
 	// PartitionSize is the bytes of raw input per partition (Figure 12's
@@ -135,18 +126,9 @@ type Config struct {
 	// Retry is the source's transient-failure policy (see RetryPolicy).
 	// The zero value disables retrying.
 	Retry RetryPolicy
-	// Arena, when non-nil, is the device memory shared by every
-	// partition: the pipeline resets it before assembling each
-	// partition's input, so partition i+1 re-parses inside partition i's
-	// allocations — the paper's fixed device footprint (§4.4). The same
-	// arena must be given to the Parser's per-partition parse options.
-	// The serial pipeline uses it; the ring scheduler draws per-partition
-	// arenas from Arenas instead.
-	Arena *device.Arena
-	// InFlight is the number of partitions the cross-partition ring
-	// keeps in flight at once. Values above 1 select the ring scheduler,
-	// which additionally requires Arenas and a RingParser; otherwise the
-	// serial pipeline runs.
+	// InFlight is the number of partitions the ring keeps in flight at
+	// once; values below 1 mean 1. At 1 every partition parses inline on
+	// the scheduler and Boundary is never called.
 	InFlight int
 	// Unordered emits each partition's table as soon as its parse
 	// completes instead of buffering for input order; Result.Order then
@@ -159,21 +141,21 @@ type Config struct {
 	DeviceBudget int64
 	// StrictBudget fails the run with a typed parparawerr.ErrBudget
 	// when a single partition's estimated footprint alone exceeds
-	// DeviceBudget, instead of admitting it anyway. Only meaningful for
-	// the ring scheduler with a positive DeviceBudget.
+	// DeviceBudget, instead of admitting it anyway.
 	StrictBudget bool
 	// SkipBadPartitions quarantines parse-side failures (contained
 	// panics, validation errors) instead of failing the run: the
 	// partition's output is dropped, Stats.QuarantinedPartitions
 	// counts it, and the stream continues. When the failed partition's
-	// record boundary was pre-scanned (the ring's dispatched path) the
+	// record boundary was pre-scanned (a dispatched partition) the
 	// carry chain is intact and no neighbouring record is affected;
-	// when it was not (serial carry path), the pending carry is dropped
-	// with the partition, so a record straddling into it may also lose
-	// its head. Reader failures and cancellation are never quarantined.
+	// when it was not (the inline carry path), the pending carry is
+	// dropped with the partition, so a record straddling into it may
+	// also lose its head. Reader failures and cancellation are never
+	// quarantined.
 	SkipBadPartitions bool
-	// Arenas supplies the ring scheduler's per-in-flight-partition
-	// arenas. Every arena acquired during the run is returned before Run
+	// Arenas supplies one arena per in-flight partition. It is required.
+	// Every arena acquired during the run is returned before Run
 	// returns.
 	Arenas ArenaPool
 }
@@ -185,26 +167,24 @@ func (c Config) ctx() context.Context {
 	return context.Background()
 }
 
-// ArenaPool supplies device arenas to the ring scheduler, one per
-// in-flight partition. The public Engine's sync.Pool of recycled arenas
-// is the motivating implementation.
+// ArenaPool supplies device arenas to the scheduler, one per in-flight
+// partition. The public Engine's pool of recycled arenas is the
+// motivating implementation.
 type ArenaPool interface {
 	Get() *device.Arena
 	Put(*device.Arena)
 }
 
-// RingParser is the parser contract of the cross-partition ring: beyond
-// the serial Parser it must (a) pre-scan a partition's record boundary
-// so the next partition's input can be finalised without waiting for
-// the full parse, and (b) parse on a caller-supplied arena so several
-// partitions can be in flight at once. ParseInFlight must be safe for
-// concurrent calls on distinct arenas whenever Boundary reported ok for
-// the partitions involved.
+// RingParser is the scheduler's parser contract. It must (a) parse on
+// a caller-supplied arena, so several partitions can be in flight at
+// once, and (b) pre-scan a partition's record boundary, so the next
+// partition's input can be finalised without waiting for the full
+// parse. ParseInFlight must be safe for concurrent calls on distinct
+// arenas whenever Boundary reported ok for the partitions involved.
 type RingParser interface {
-	Parser
 	// Boundary returns the carry-over tail length a parse of input
 	// would report, when that is determinable without a full parse
-	// (ok=false falls the partition back to the serial carry path —
+	// (ok=false falls the partition back to the inline carry path —
 	// e.g. while first-partition trimming is unsettled or the input
 	// needs transcoding before record boundaries exist).
 	Boundary(input []byte) (remainder int, ok bool)
@@ -213,8 +193,8 @@ type RingParser interface {
 	// parse would report nothing but the whole input as carry-over.
 	// Its walk resumes at input[from:] in state, the end it returned
 	// when input[:from] was idle (from 0 walks from the start). When
-	// the previous partition held no complete record either, both
-	// pipelines carry an idle partition whole into the next without
+	// the previous partition held no complete record either, the
+	// scheduler carries an idle partition whole into the next without
 	// parsing it, so a record spanning many partitions is walked once
 	// and parsed once, not once per partition.
 	Idle(input []byte, from, state int) (end int, idle bool)
@@ -236,19 +216,18 @@ type Stats struct {
 	ParseBusy time.Duration
 	// MaxCarryOver is the largest carry-over observed (bytes).
 	MaxCarryOver int
-	// DeviceBytes is the peak arena footprint across all partitions
-	// (zero when the run had no arena). Under the ring scheduler it sums
-	// the per-arena peaks of every arena the run drew — the memory cost
-	// of depth: InFlight × one partition's footprint.
+	// DeviceBytes sums the peak footprints of every arena the run drew
+	// — the memory cost of depth: InFlight × one partition's footprint,
+	// and at depth 1 the peak of the run's single arena.
 	DeviceBytes int64
 	// Chunks sums the data-parallel chunks of every partition parse.
 	Chunks int
-	// InFlight is the ring depth the run actually used (1 for the
-	// serial pipeline).
+	// InFlight is the ring depth the run actually used.
 	InFlight int
 	// SerialFallbacks counts the non-final partitions whose record
 	// boundary could not be pre-scanned and that therefore parsed
-	// inline on the scheduler (the serial carry path).
+	// inline on the scheduler (the inline carry path). Depth 1 never
+	// pre-scans, so it reports 0.
 	SerialFallbacks int
 	// InvalidInput reports that some partition's parse flagged invalid
 	// input (PartitionResult.Invalid).
@@ -270,12 +249,12 @@ type Stats struct {
 	// diverted to the caller's bad-record callback.
 	QuarantinedPartitions int
 	QuarantinedRecords    int64
-	// ReadBusy is the time the ring's scheduler spent pulling input from
-	// the source; BoundaryBusy is the time spent in record-boundary
-	// pre-scans; EmitBusy is the time the ring's emit stage spent
-	// releasing tables. With ParseBusy (which sums concurrent parses and
-	// so can exceed Duration under the ring) these expose each stage's
-	// busy share of the run. The serial pipeline reports only ParseBusy.
+	// ReadBusy is the time the scheduler spent pulling input from the
+	// source; BoundaryBusy is the time spent in record-boundary
+	// pre-scans; EmitBusy is the time the emit stage spent releasing
+	// tables. With ParseBusy (which sums concurrent parses and so can
+	// exceed Duration when InFlight > 1) these expose each stage's busy
+	// share of the run.
 	ReadBusy     time.Duration
 	BoundaryBusy time.Duration
 	EmitBusy     time.Duration
@@ -338,244 +317,4 @@ func tagInputError(err error, idx int) error {
 		ie.Partition = idx
 	}
 	return fmt.Errorf("stream: reading input: %w", err)
-}
-
-// chunk is one fixed-size host buffer's worth of raw input on its way
-// from the Source to a partition parse.
-type chunk struct {
-	buf  int    // index of the double buffer holding the bytes
-	data []byte // the chunk's bytes (a prefix of the buffer)
-	last bool   // the source is exhausted after this chunk
-	err  error  // source read error (data/last are then meaningless)
-}
-
-// Run streams the source through the pipeline. It returns the
-// per-partition tables in input order. On failure the returned Result,
-// when non-nil, holds the tables emitted and the statistics accumulated
-// before the failure — partial progress a caller can still report.
-//
-// A reader goroutine pulls PartitionSize-byte chunks from the source
-// into two recycled host buffers (the Figure 7 raw-input double
-// buffer). The calling goroutine assembles each partition's parse
-// input — a fixed-size buffer holding the carry-over followed by fresh
-// chunk bytes (the "copy c/o" step), sized so the total stays at
-// PartitionSize — and parses it; a chunk's host buffer is recycled only
-// after the parse that consumed its final byte completes, preserving
-// the figure's "read i+2 waits on parse i" dependency. Fixed-size parse
-// inputs keep every buffer in the same arena size class across
-// partitions — the paper's allocate-once-reuse-per-partition
-// footprint. Only a carry-over of PartitionSize or more (one record
-// larger than a partition) grows the parse buffer beyond PartitionSize.
-func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
-	if cfg.PartitionSize <= 0 {
-		return nil, errors.New("stream: partition size must be positive")
-	}
-	src.SetRetry(cfg.Retry)
-	if cfg.InFlight > 1 && cfg.Arenas != nil {
-		if rp, ok := parser.(RingParser); ok {
-			return runRing(cfg, rp, src)
-		}
-	}
-	ctx := cfg.ctx()
-
-	start := time.Now()
-
-	// Double-buffer tokens: values are buffer indexes. The read two
-	// chunks ahead waits until the parse consuming chunk i releases its
-	// buffer.
-	inputTokens := make(chan int, 2)
-	inputTokens <- 0
-	inputTokens <- 1
-
-	chunks := make(chan chunk, 2) // filled chunks awaiting consumption
-	quit := make(chan struct{})   // closed on return so the reader exits
-	defer close(quit)
-
-	// Reader: pull fixed-size chunks from the source. The two chunk
-	// buffers here are the run's entire host-side input footprint; they
-	// grow geometrically toward PartitionSize (Source.Fill), so a source
-	// smaller than a partition never pays for full-size buffers.
-	go func() {
-		defer close(chunks)
-		var bufs [2][]byte
-		for {
-			var idx int
-			select {
-			case idx = <-inputTokens:
-			case <-quit:
-				return
-			}
-			data, last, err := src.Fill(bufs[idx], cfg.PartitionSize)
-			bufs[idx] = data
-			select {
-			case chunks <- chunk{buf: idx, data: data, last: last, err: err}:
-			case <-quit:
-				return
-			}
-			if last || err != nil {
-				return
-			}
-		}
-	}()
-
-	stats := Stats{InFlight: 1}
-	var tables []*columnar.Table
-	finish := func(err error) (*Result, error) {
-		stats.Duration = time.Since(start)
-		stats.DeviceBytes = cfg.Arena.PeakBytes()
-		stats.Retries, stats.RetriedBytes = src.RetryStats()
-		return &Result{Tables: tables, Stats: stats}, err
-	}
-
-	// Parse (serial across partitions, but internally parallel).
-	rp, _ := parser.(RingParser)
-	stalled := false // the previous partition held no complete record
-	// walked bytes of an idle carry end the boundary walk in walkState
-	// (RingParser.Idle).
-	walked, walkState := 0, 0
-	var carry []byte
-	var base int64 // stream offset of the current carry/partition start
-	var cur chunk  // current chunk being consumed
-	curOff := 0    // bytes of cur already consumed
-	haveChunk := false
-	exhausted := false // the source's last chunk has been fully consumed
-	var spent []int    // buffers drained by this partition, recycled after its parse
-	var segs [][]byte  // fresh chunk segments of the partition being assembled
-	for i := 0; ; i++ {
-		if err := ctx.Err(); err != nil {
-			return finish(fmt.Errorf("stream: %w", parparawerr.Canceled(i, err)))
-		}
-		// The carry-over displaces fresh input so carry + fresh fills
-		// one fixed PartitionSize buffer; a carry of a full partition
-		// or more (one record larger than a partition) still makes
-		// PartitionSize bytes of progress.
-		need := cfg.PartitionSize - len(carry)
-		if need <= 0 {
-			need = cfg.PartitionSize
-		}
-
-		// Gather the partition's fresh bytes as segments of the chunk
-		// buffers first (they stay stable until the post-parse token
-		// release below), so the parse buffer can be allocated at its
-		// exact final size.
-		segs = segs[:0]
-		got := 0
-		for got < need && !exhausted {
-			if !haveChunk {
-				c := <-chunks // the reader sends a last or failed chunk before it exits
-				if c.err != nil {
-					return finish(tagInputError(c.err, i))
-				}
-				stats.InputBytes += int64(len(c.data))
-				cur, curOff, haveChunk = c, 0, true
-			}
-			take := need - got
-			if avail := len(cur.data) - curOff; take > avail {
-				take = avail
-			}
-			if take > 0 {
-				segs = append(segs, cur.data[curOff:curOff+take])
-			}
-			got += take
-			curOff += take
-			if curOff == len(cur.data) {
-				haveChunk = false
-				spent = append(spent, cur.buf)
-				if cur.last {
-					exhausted = true
-				}
-			}
-		}
-		final := exhausted && !haveChunk
-
-		if stalled && !final && rp != nil {
-			// Still inside one record? Grow the carry by the fresh
-			// bytes and resume the boundary walk over them alone.
-			for _, seg := range segs {
-				carry = append(carry, seg...)
-			}
-			segs = segs[:0]
-			for _, b := range spent {
-				inputTokens <- b
-			}
-			spent = spent[:0]
-			var idle bool
-			if walkState, idle = rp.Idle(carry, walked, walkState); idle {
-				// Carry the partition whole without parsing it.
-				walked = len(carry)
-				stats.Partitions++
-				stats.MaxCarryOver = max(stats.MaxCarryOver, len(carry))
-				continue
-			}
-			walked = 0
-		}
-
-		// Recycle the previous partition's buffers: nothing transient
-		// outlives a partition parse (tables and the carry copy live on
-		// the heap), so from here on this partition reuses its
-		// predecessor's allocations.
-		cfg.Arena.Reset()
-		// Assemble carry-over + fresh chunk bytes (the "copy c/o" step)
-		// in the partition's input buffer.
-		buf := device.Alloc[byte](cfg.Arena, len(carry)+got)[:0]
-		buf = append(buf, carry...)
-		for _, seg := range segs {
-			buf = append(buf, seg...)
-		}
-
-		parseStart := time.Now()
-		part := Partition{Index: i, Base: base, Input: buf, Final: final}
-		res, err := safeParse(func() (PartitionResult, error) {
-			return parser.ParsePartition(part)
-		}, i)
-		stats.ParseBusy += time.Since(parseStart)
-		stats.Partitions++
-		if err == nil && !final && (res.CompleteBytes < 0 || res.CompleteBytes > len(buf)) {
-			err = fmt.Errorf("complete bytes %d outside [0,%d]: %w", res.CompleteBytes, len(buf),
-				&parparawerr.InternalError{Partition: i, Stage: "ring"})
-		}
-		// The drained chunks free host input capacity now that the parse
-		// consuming them is over (their bytes live on in the parse
-		// buffer and the carry copy only).
-		for _, b := range spent {
-			inputTokens <- b
-		}
-		spent = spent[:0]
-		if err != nil {
-			if !cfg.SkipBadPartitions || !quarantinable(err) {
-				return finish(fmt.Errorf("stream: partition %d: %w", i, err))
-			}
-			// Quarantine: drop the partition (and the pending carry —
-			// its boundary is unknown) and continue.
-			stats.QuarantinedPartitions++
-			base += int64(len(buf))
-			carry = carry[:0]
-			stalled = false
-			if final {
-				break
-			}
-			continue
-		}
-		if res.Invalid {
-			stats.InvalidInput = true
-		}
-		stats.RowsPruned += res.RowsPruned
-		stats.BytesSkipped += res.BytesSkipped
-		stats.QuarantinedRecords += res.BadRecords
-		stats.Chunks += res.Chunks
-		if res.Table != nil {
-			stats.OutputBytes += res.Table.DataBytes()
-			tables = append(tables, res.Table)
-		}
-		if final {
-			break
-		}
-		stalled = res.CompleteBytes == 0
-		base += int64(res.CompleteBytes)
-		carry = append(carry[:0], buf[res.CompleteBytes:]...)
-		if len(carry) > stats.MaxCarryOver {
-			stats.MaxCarryOver = len(carry)
-		}
-	}
-	return finish(nil)
 }

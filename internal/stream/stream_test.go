@@ -1,44 +1,15 @@
 package stream
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/columnar"
+	"repro/internal/device"
+	"repro/parparawerr"
 )
-
-// lineParser is a toy record-aware parser: records are '\n'-terminated
-// lines; it emits a single string column and reports the complete-record
-// prefix, exercising the carry-over machinery.
-type lineParser struct {
-	partitions [][]byte // inputs as seen per partition (with carry)
-}
-
-func (p *lineParser) ParsePartition(part Partition) (PartitionResult, error) {
-	input := part.Input
-	p.partitions = append(p.partitions, append([]byte(nil), input...))
-	complete := bytes.LastIndexByte(input, '\n') + 1
-	if part.Final {
-		complete = len(input)
-	}
-	var lines []string
-	for _, l := range bytes.Split(input[:complete], []byte{'\n'}) {
-		if len(l) > 0 {
-			lines = append(lines, string(l))
-		}
-	}
-	col := columnar.FromStrings("line", lines)
-	tbl, err := columnar.NewTable(columnar.NewSchema(columnar.Field{Name: "line", Type: columnar.String}),
-		[]*columnar.Column{col}, nil)
-	if err != nil {
-		return PartitionResult{}, err
-	}
-	return PartitionResult{Table: tbl, CompleteBytes: complete}, nil
-}
 
 func TestRunReassemblesRecordsAcrossPartitions(t *testing.T) {
 	var sb strings.Builder
@@ -52,8 +23,7 @@ func TestRunReassemblesRecordsAcrossPartitions(t *testing.T) {
 	input := []byte(sb.String())
 
 	for _, partSize := range []int{7, 16, 64, 100, len(input), len(input) * 2} {
-		p := &lineParser{}
-		res, err := Run(Config{PartitionSize: partSize}, p, BytesSource(input))
+		res, err := Run(Config{PartitionSize: partSize, Arenas: &testArenaPool{}}, newRingLineParser(), BytesSource(input))
 		if err != nil {
 			t.Fatalf("partSize=%d: %v", partSize, err)
 		}
@@ -92,8 +62,8 @@ func TestRunCarryOverContent(t *testing.T) {
 	// Partition size 10 splits "abcdefgh\nijklmnop\n" mid-record; the
 	// parser must see the carried bytes prepended.
 	input := []byte("abcdefgh\nijklmnop\n")
-	p := &lineParser{}
-	_, err := Run(Config{PartitionSize: 10}, p, BytesSource(input))
+	p := newRingLineParser()
+	_, err := Run(Config{PartitionSize: 10, Arenas: &testArenaPool{}}, p, BytesSource(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +83,7 @@ func TestRunGiantRecordSpanningPartitions(t *testing.T) {
 	// growing until the delimiter arrives.
 	record := strings.Repeat("y", 350)
 	input := []byte(record + "\nz\n")
-	p := &lineParser{}
-	res, err := Run(Config{PartitionSize: 100}, p, BytesSource(input))
+	res, err := Run(Config{PartitionSize: 100, Arenas: &testArenaPool{}}, newRingLineParser(), BytesSource(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +103,7 @@ func TestRunGiantRecordSpanningPartitions(t *testing.T) {
 }
 
 func TestRunEmptyInput(t *testing.T) {
-	p := &lineParser{}
-	res, err := Run(Config{PartitionSize: 10}, p, BytesSource(nil))
+	res, err := Run(Config{PartitionSize: 10, Arenas: &testArenaPool{}}, newRingLineParser(), BytesSource(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,28 +113,40 @@ func TestRunEmptyInput(t *testing.T) {
 }
 
 func TestRunParserError(t *testing.T) {
-	boom := errors.New("boom")
-	parser := ParserFunc(func(part Partition) (PartitionResult, error) {
-		return PartitionResult{}, boom
-	})
-	_, err := Run(Config{PartitionSize: 4}, parser, BytesSource([]byte("abcdefgh")))
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
+	p := newRingLineParser()
+	p.failAt = 0
+	_, err := Run(Config{PartitionSize: 4, Arenas: &testArenaPool{}}, p, BytesSource([]byte("abcdefgh")))
+	if err == nil || !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want wrapped injected failure", err)
 	}
 }
 
+// overclaimParser reports more complete bytes than its input holds.
+type overclaimParser struct{ *ringLineParser }
+
+func (p overclaimParser) ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error) {
+	res, err := p.ringLineParser.ParseInFlight(arena, part)
+	res.CompleteBytes = len(part.Input) + 5
+	return res, err
+}
+
 func TestRunBadCompleteBytes(t *testing.T) {
-	parser := ParserFunc(func(part Partition) (PartitionResult, error) {
-		return PartitionResult{CompleteBytes: len(part.Input) + 5}, nil
-	})
-	if _, err := Run(Config{PartitionSize: 4}, parser, BytesSource([]byte("abcdefgh"))); err == nil {
-		t.Fatal("want error for out-of-range CompleteBytes")
+	parser := overclaimParser{newRingLineParser()}
+	parser.ambiguous = true // no pre-scan to cross-check against: only the range check can catch it
+	for _, inFlight := range []int{1, 2} {
+		_, err := Run(Config{PartitionSize: 4, InFlight: inFlight, Arenas: &testArenaPool{}}, parser, BytesSource([]byte("abcdefgh")))
+		if !errors.Is(err, parparawerr.ErrInternal) {
+			t.Fatalf("inflight=%d: err = %v, want ErrInternal for out-of-range CompleteBytes", inFlight, err)
+		}
 	}
 }
 
 func TestRunConfigValidation(t *testing.T) {
-	if _, err := Run(Config{PartitionSize: 0}, ParserFunc(nil), BytesSource(nil)); err == nil {
+	if _, err := Run(Config{PartitionSize: 0, Arenas: &testArenaPool{}}, newRingLineParser(), BytesSource(nil)); err == nil {
 		t.Error("want error for zero partition size")
+	}
+	if _, err := Run(Config{PartitionSize: 4}, newRingLineParser(), BytesSource(nil)); err == nil {
+		t.Error("want error for a missing arena pool")
 	}
 }
 
@@ -188,10 +168,10 @@ func (r *slowReader) Read(p []byte) (int, error) {
 }
 
 // TestStreamingScheduleOverlap is the Figure 7 behaviour test: with a
-// slow source and a slow parser, total pipeline time must be well below
-// a *measured* serial execution of the same reads and parses, proving
-// the read of the next chunk overlaps the parse of the current
-// partition. Comparing against a serial run performed under the same
+// slow source and a slow parser, total pipeline time at depth 2 must be
+// well below a *measured* serial execution of the same reads and
+// parses, proving the read of the next partition overlaps the parse of
+// the current one. (Depth 1 parses inline, so it does not overlap.) Comparing against a serial run performed under the same
 // machine load (rather than against the nominal sum of sleep durations)
 // keeps the test stable when timers are inflated by a busy CI host —
 // the inflation applies to both runs.
@@ -212,15 +192,7 @@ func TestStreamingScheduleOverlap(t *testing.T) {
 		}
 	}
 	const delay = 15 * time.Millisecond
-	parser := ParserFunc(func(part Partition) (PartitionResult, error) {
-		in := part.Input
-		time.Sleep(delay)
-		complete := bytes.LastIndexByte(in, '\n') + 1
-		if part.Final {
-			complete = len(in)
-		}
-		return PartitionResult{CompleteBytes: complete}, nil
-	})
+	parser := &slowRingParser{newRingLineParser(), delay}
 
 	// Nominal: serial 6 × 30ms = 180ms, pipelined ~(15 + 6×15)ms =
 	// 105ms. A loaded single-core CI host can inflate either run
@@ -236,7 +208,7 @@ func TestStreamingScheduleOverlap(t *testing.T) {
 		serial := time.Since(serialStart)
 
 		src := NewSource(&slowReader{input: input, perByte: delay / partSize})
-		res, err := Run(Config{PartitionSize: partSize}, parser, src)
+		res, err := Run(Config{PartitionSize: partSize, InFlight: 2, Arenas: &testArenaPool{}}, parser, src)
 		if err != nil {
 			t.Fatal(err)
 		}

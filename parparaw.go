@@ -103,15 +103,16 @@ type Options struct {
 	// per-column loop. Output is byte-identical at every setting.
 	ConvertWorkers int
 	// InFlight is the number of streaming partitions processed
-	// concurrently by the cross-partition ring (§4.4 extended across
+	// concurrently by the in-flight ring (§4.4 extended across
 	// partitions): each in-flight partition runs the whole kernel
 	// pipeline on its own device arena, a record-boundary pre-scan
 	// finalises partition i+1's input without waiting for partition i's
 	// parse, and an emit stage releases tables in input order. 0 uses a
-	// GOMAXPROCS-derived default; 1 forces the serial partition-at-a-time
-	// pipeline. Output is byte-identical at every setting; only Parse
-	// paths that stream (Stream, StreamReader, large ParseReader inputs)
-	// are affected.
+	// GOMAXPROCS-derived default; at 1 the ring parses one partition at
+	// a time on one recycled arena, with no pre-scan (the paper's
+	// schedule, minus overlapping the next read with the parse). Output
+	// is byte-identical at every setting; only Parse paths that stream
+	// (Stream, StreamReader, large ParseReader inputs) are affected.
 	InFlight int
 	// SkipRows prunes the first n raw lines before parsing (§4.3).
 	SkipRows int

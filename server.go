@@ -388,6 +388,18 @@ func (ts *tenantState) engineFor(key string, shared *Engine) *Engine {
 	return e
 }
 
+// reservedBytes sums the device memory held idle by the tenant's
+// engines.
+func (ts *tenantState) reservedBytes() int64 {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	var total int64
+	for _, e := range ts.engines {
+		total += e.reservedBytes()
+	}
+	return total
+}
+
 // admit charges a request's estimated device bytes against the global
 // budget. A request is always admitted when nothing else is in flight
 // — the same progress guarantee as the streaming ring's own budget.
@@ -638,7 +650,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("parparawd_retried_bytes_total", "Bytes recovered by retried reads.", s.m.retriedBytes.Load())
 	counter("parparawd_quarantined_partitions_total", "Partitions quarantined.", s.m.quarantinedPartitions.Load())
 	counter("parparawd_quarantined_records_total", "Malformed records diverted.", s.m.quarantinedRecords.Load())
-	counter("parparawd_serial_fallbacks_total", "Partitions parsed on the serial carry path.", s.m.serialFallbacks.Load())
+	counter("parparawd_serial_fallbacks_total", "Partitions a deeper ring parsed on the inline carry path.", s.m.serialFallbacks.Load())
 	counter("parparawd_invalid_inputs_total", "Runs whose DFA flagged invalid input.", s.m.invalidInputs.Load())
 	counter("parparawd_admission_rejects_total", "Requests rejected by the device-bytes budget.", s.m.admissionRejects.Load())
 
@@ -647,22 +659,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.admitMu.Unlock()
 	gauge("parparawd_admitted_device_bytes", "Estimated device bytes of admitted requests.", admitted)
 	gauge("parparawd_device_budget_bytes", "Configured admission budget (0 = unlimited).", s.cfg.DeviceBudget)
-
-	cs := s.cache.Stats()
-	counter("parparawd_cache_hits_total", "Plan-cache hits.", cs.Hits)
-	counter("parparawd_cache_misses_total", "Plan-cache misses (plans compiled).", cs.Misses)
-	counter("parparawd_cache_evictions_total", "Plan-cache evictions.", cs.Evictions)
-	gauge("parparawd_cache_engines", "Compiled engines currently cached.", int64(cs.Engines))
-	gauge("parparawd_cache_reserved_bytes", "Device bytes held idle by cached engines.", s.cache.ReservedBytes())
-
-	fmt.Fprintf(&b, "# HELP parparawd_stage_busy_seconds_total Cumulative streaming stage busy time.\n# TYPE parparawd_stage_busy_seconds_total counter\n")
-	stage := func(name string, ns int64) {
-		fmt.Fprintf(&b, "parparawd_stage_busy_seconds_total{stage=%q} %.6f\n", name, float64(ns)/1e9)
-	}
-	stage("read", s.m.readBusyNs.Load())
-	stage("boundary", s.m.boundaryBusyNs.Load())
-	stage("parse", s.m.parseBusyNs.Load())
-	stage("emit", s.m.emitBusyNs.Load())
 
 	s.tenantMu.Lock()
 	names := make([]string, 0, len(s.tenants))
@@ -675,6 +671,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		states[i] = s.tenants[name]
 	}
 	s.tenantMu.Unlock()
+
+	cs := s.cache.Stats()
+	counter("parparawd_cache_hits_total", "Plan-cache hits.", cs.Hits)
+	counter("parparawd_cache_misses_total", "Plan-cache misses (plans compiled).", cs.Misses)
+	counter("parparawd_cache_evictions_total", "Plan-cache evictions.", cs.Evictions)
+	gauge("parparawd_cache_engines", "Compiled engines currently cached.", int64(cs.Engines))
+	// Requests parse on tenant-private engines, which own the arena
+	// pools; the shared cached engines only compile plans.
+	reserved := s.cache.ReservedBytes()
+	for _, ts := range states {
+		reserved += ts.reservedBytes()
+	}
+	gauge("parparawd_cache_reserved_bytes", "Device bytes held idle by cached and tenant engines.", reserved)
+
+	fmt.Fprintf(&b, "# HELP parparawd_stage_busy_seconds_total Cumulative streaming stage busy time.\n# TYPE parparawd_stage_busy_seconds_total counter\n")
+	stage := func(name string, ns int64) {
+		fmt.Fprintf(&b, "parparawd_stage_busy_seconds_total{stage=%q} %.6f\n", name, float64(ns)/1e9)
+	}
+	stage("read", s.m.readBusyNs.Load())
+	stage("boundary", s.m.boundaryBusyNs.Load())
+	stage("parse", s.m.parseBusyNs.Load())
+	stage("emit", s.m.emitBusyNs.Load())
+
 	if len(names) > 0 {
 		fmt.Fprintf(&b, "# HELP parparawd_tenant_requests_total Requests per tenant.\n# TYPE parparawd_tenant_requests_total counter\n")
 		for i, name := range names {

@@ -502,12 +502,23 @@ func TestServerPlanCacheHit(t *testing.T) {
 	}
 
 	// Each tenant parses on its own engine over the shared plan.
-	if a, b := srv.tenantEngines("alpha"), srv.tenantEngines("beta"); len(a) != 1 || len(b) != 1 {
+	a, b := srv.tenantEngines("alpha"), srv.tenantEngines("beta")
+	if len(a) != 1 || len(b) != 1 {
 		t.Fatalf("tenant engines: alpha %d, beta %d, want 1 each", len(a), len(b))
 	} else if a[0] == b[0] {
 		t.Error("tenants share an Engine; arena pools must be private")
 	} else if a[0].plan != b[0].plan {
 		t.Error("tenant engines do not share the compiled plan")
+	}
+
+	// The tenant engines hold the idle arenas, so the reserved-bytes
+	// gauge must count them.
+	reserved := a[0].reservedBytes() + b[0].reservedBytes()
+	if reserved <= 0 {
+		t.Fatalf("tenant engines reserve %d bytes after ingesting", reserved)
+	}
+	if want := fmt.Sprintf("parparawd_cache_reserved_bytes %d\n", reserved); !strings.Contains(string(metrics), want) {
+		t.Errorf("/metrics missing %q", strings.TrimSpace(want))
 	}
 }
 

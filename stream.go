@@ -87,9 +87,10 @@ type StreamOptions struct {
 	// 12's x-axis). 0 uses DefaultPartitionSize.
 	PartitionSize int
 	// Unordered emits each partition's table as soon as its parse
-	// completes instead of buffering for input order (only meaningful
-	// with Options.InFlight > 1); StreamResult.Order then records the
-	// input index of each emitted table.
+	// completes instead of buffering for input order; StreamResult.Order
+	// then records the input index of each emitted table. At
+	// Options.InFlight 1 partitions complete in input order, so Order is
+	// the identity.
 	Unordered bool
 	// DeviceBudget, when positive, bounds the estimated device bytes of
 	// the partitions concurrently in flight: the ring stops admitting
@@ -99,7 +100,8 @@ type StreamOptions struct {
 	DeviceBudget int64
 	// StrictBudget fails the run with a typed error matching ErrBudget
 	// when a single partition's estimated footprint alone exceeds
-	// DeviceBudget, instead of admitting it anyway.
+	// DeviceBudget, instead of admitting it anyway. Like DeviceBudget
+	// and Unordered it acts at every depth, 1 included.
 	StrictBudget bool
 	// Retry is the transient-failure policy for the input reader. The
 	// zero value disables retrying: the first read error fails the run.
@@ -118,9 +120,10 @@ type StreamOptions struct {
 	// StreamStats.QuarantinedPartitions, and the stream continues. When
 	// the failed partition's record boundary was pre-scanned the carry
 	// chain is intact and no neighbouring record is affected; on the
-	// serial carry path the pending carry is dropped with the partition,
-	// so a record straddling into it may also lose its head. Reader
-	// failures and cancellation are never quarantined.
+	// inline carry path (every partition at Options.InFlight 1) the
+	// pending carry is dropped with the partition, so a record
+	// straddling into it may also lose its head. Reader failures and
+	// cancellation are never quarantined.
 	SkipBadPartitions bool
 }
 
@@ -152,29 +155,27 @@ type StreamStats struct {
 	// or predicate pushdown made irrelevant) — the streaming counterpart
 	// of Stats.BytesSkipped.
 	BytesSkipped int64
-	// DeviceBytes is the peak device-memory footprint across all
-	// partitions. With InFlight=1 all partitions share one recycled
-	// arena (§4.4), so in steady state this is roughly the footprint of
-	// the largest single partition — the Figure-12 memory/throughput
-	// trade-off's memory axis. Under the cross-partition ring it sums
-	// the per-arena peaks of the InFlight arenas the run drew: the
-	// memory cost of depth is InFlight × one partition's footprint.
+	// DeviceBytes sums the peak footprints of the arenas the run drew,
+	// one per in-flight partition: the memory cost of depth is InFlight
+	// × one partition's footprint. With InFlight=1 all partitions share
+	// one recycled arena (§4.4), so in steady state this is roughly the
+	// footprint of the largest single partition — the Figure-12
+	// memory/throughput trade-off's memory axis.
 	DeviceBytes int64
 	// InFlight is the ring depth the run actually used: the number of
-	// partitions processed concurrently (1 = the serial pipeline).
+	// partitions processed concurrently.
 	InFlight int
 	// SerialFallbacks counts the non-final partitions whose record
 	// boundary could not be pre-scanned (first-partition trimming
-	// unsettled, UTF-16 input) and that therefore parsed on the serial
-	// carry path inside the ring.
+	// unsettled, UTF-16 input) and that therefore parsed on the inline
+	// carry path. Depth 1 never pre-scans, so it reports 0.
 	SerialFallbacks int
 	// ReadBusy, BoundaryBusy, and EmitBusy are the time the ring spent
 	// pulling input from the reader, pre-scanning record boundaries, and
-	// releasing tables in order, respectively; the serial pipeline
-	// (InFlight 1) leaves them zero. Together with ParseBusy — which
-	// sums concurrent partition parses and so may exceed Duration when
-	// InFlight > 1 — they expose each stage's busy share of the run
-	// (the -v output of cmd/parparaw).
+	// releasing tables in order, respectively. Together with ParseBusy
+	// — which sums concurrent partition parses and so may exceed
+	// Duration when InFlight > 1 — they expose each stage's busy share
+	// of the run (the -v output of cmd/parparaw).
 	ReadBusy     time.Duration
 	BoundaryBusy time.Duration
 	EmitBusy     time.Duration

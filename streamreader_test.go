@@ -341,8 +341,8 @@ func completeRecordPartitions(plan *core.Plan, input []byte, partSize int) int {
 }
 
 // TestStreamGiantRecordParsedOnce streams a record 32 partitions long,
-// at the head of the input and mid-stream, through the serial pipeline
-// and the ring. A partition inside the record is carried whole without
+// at the head of the input and mid-stream, through the ring at depths 1
+// and 2. A partition inside the record is carried whole without
 // a parse once the previous one held no complete record either, so
 // the parses stay within the partitions holding a complete record plus
 // one — instead of one parse per partition over an ever-growing carry.
@@ -442,7 +442,9 @@ func TestParseReaderInfersOverWholeInput(t *testing.T) {
 // the reader when the reader reports its size, so a 1 KiB reader never
 // costs a threshold-sized buffer, and a regular file just above the
 // threshold — read from its start or from an offset — takes the
-// streamed route and parses byte-identically to Parse.
+// streamed route and parses byte-identically to Parse. The streamed
+// route's source lends chunks that lie within the head without copying
+// them and never writes into the head.
 func TestParseReaderReadsHeadOnce(t *testing.T) {
 	small := workload.Taxi().Generate(1<<10, 4)
 	readers := map[string]func() io.Reader{
@@ -489,6 +491,28 @@ func TestParseReaderReadsHeadOnce(t *testing.T) {
 		if err != nil || len(head) != cap(head) || cap(head) != ReaderStreamThreshold+1 {
 			t.Fatalf("offset %d: readHead = len %d cap %d, %v; want one %d-byte buffer",
 				off, len(head), cap(head), err, ReaderStreamThreshold+1)
+		}
+		// 1000-byte chunks: one straddles the head's end.
+		orig := append([]byte(nil), head...)
+		src := stream.HeadSource(head, f)
+		var fill, drained []byte
+		for last := false; !last; {
+			at := len(drained)
+			data, l, err := src.Fill(fill, 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at+len(data) <= len(head) && len(data) > 0 && &data[0] != &head[at] {
+				t.Fatalf("offset %d: Fill of head bytes [%d,%d) copied them", off, at, at+len(data))
+			}
+			drained = append(drained, data...)
+			fill, last = data, l
+		}
+		if !bytes.Equal(head, orig) {
+			t.Fatalf("offset %d: Fill wrote into the head", off)
+		}
+		if !bytes.Equal(drained, input[off:]) {
+			t.Fatalf("offset %d: head source yielded %d bytes, want the %d input bytes", off, len(drained), len(input)-off)
 		}
 		if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
 			t.Fatal(err)

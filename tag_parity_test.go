@@ -71,7 +71,7 @@ func (l *badRecordLog) sorted() []string {
 // and its damaged copies, at every chunk size and tagging mode, under
 // projection, skipped records, a header, pushed-down Where, and both
 // reject policies: identical Parse results and errors, and identical
-// serial and ring streams, including the bad-record reports.
+// streams at depth 1 and deeper, including the bad-record reports.
 func TestTagPathParity(t *testing.T) {
 	var cov tagParityCoverage
 	inputs := contextParityInputs()
